@@ -135,7 +135,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--var-ratio-tol", type=float, default=None,
                    help="zero-variance threshold on sigma2_x/sigma2_e")
     p.add_argument("--lambda-max", type=float, default=None,
-                   help="optimizer box bound on sigma_x/sigma_e")
+                   help="general-engine search bound on sigma_x/sigma_e")
     p.add_argument("--config", default=None,
                    help="KEY=VALUE config file; flags win over file values")
 

@@ -281,8 +281,9 @@ def summarize(setting: ExperimentSetting,
     pct_m1 = 100.0 * n_m1 / reps
     pct_p1 = 100.0 * n_p1 / reps
     pct_nan = 100.0 * n_nan / reps
-    pct_bad = pct_m1 + pct_p1 + pct_nan
-    p = pct_bad / 100.0
+    # from the counts: the percentages' float sum can exceed 100
+    p = (n_m1 + n_p1 + n_nan) / reps
+    pct_bad = 100.0 * p
     mc_se_bad = 100.0 * math.sqrt(p * (1.0 - p) / reps)
     return SettingSummary(
         setting=setting,

@@ -1,20 +1,21 @@
 """Restricted-likelihood evaluation and maximisation.
 
-Two engines share one parameterisation and one optimisation driver:
+Two engines report the same ``VarianceParams``:
 
-* the balanced engine works from ``SuffStats`` and evaluates the restricted
-  likelihood in closed form through a 2x2 matrix, and
+* the balanced engine works from ``SuffStats``; it evaluates the restricted
+  likelihood through a 2x2 matrix and maximises it exactly by eigenvalue
+  truncation of that matrix, and
 
 * the general engine handles unequal cluster sizes, arbitrary within-cluster
   regressor values and extra fixed effects, reducing each cluster to 2x2 and
   2xp cross-products once and reusing them at every objective call.
 
-Both optimise theta = (lambda_c, lambda_s, rho), where lambda_c and lambda_s
-are the random-effect standard deviations *relative to the error standard
-deviation*; the error variance then has a closed-form profile.  The feasible
-region is a box, and candidate maximisers on every boundary facet (rho = -1,
-rho = +1, lambda_c = 0, lambda_s = 0, both lambdas 0) are solved separately
-so boundary solutions are exact rather than merely nearby.
+The general engine searches theta = (lambda_c, lambda_s, rho), the random-
+effect standard deviations *relative to the error standard deviation* and
+their correlation; the error variance then has a closed-form profile.  The
+feasible region is a box, and candidate maximisers on every boundary facet
+(rho = -1, rho = +1, lambda_c = 0, lambda_s = 0, both lambdas 0) are solved
+separately so boundary solutions are exact rather than merely nearby.
 """
 
 from __future__ import annotations
@@ -209,13 +210,14 @@ def classify(vp, tol=ClassifyTolerances()):
 class FitOptions:
     """Controls for the restricted-likelihood maximisers.
 
-    The optimiser runs bounded Nelder-Mead from five deterministic starts
-    (the method-of-moments point plus four corners of a box around it),
-    polishes coordinates by golden-section search, then solves each boundary
-    facet exactly and keeps the best candidate.
+    lambda_max, fatol, xatol, max_iter and polish_sweeps steer only
+    ``fit_general``: bounded Nelder-Mead from five deterministic starts (the
+    method-of-moments point plus four corners of a box around it), a
+    golden-section polish, then an exact solve on each boundary facet.
+    ``fit_balanced`` is exact and reads only the other three fields.
     """
 
-    lambda_max: float = 1e3  # upper bound on sigma_c/sigma_e and sigma_s/sigma_e
+    lambda_max: float = 1e3  # search-box bound on sigma_c/sigma_e and sigma_s/sigma_e
     fatol: float = 1e-10
     xatol: float = 1e-8
     max_iter: int | None = None
@@ -304,7 +306,7 @@ class GeneralFitResult:
 
 
 # ---------------------------------------------------------------------------
-# Shared optimisation driver
+# Optimisation driver of the general engine
 # ---------------------------------------------------------------------------
 
 
@@ -426,14 +428,25 @@ def _boundary_variance_tag(lc2, ls2, tol):
 
 
 def fit_balanced(data, options=None):
-    """Maximise the balanced restricted likelihood.
+    """Maximise the balanced restricted likelihood exactly.
+
+    The maximiser over the closed parameter space is an eigenvalue truncation
+    (Anderson, Anderson & Olkin 1986, Ann. Statist. 14:405; Amemiya 1985,
+    Amer. Statist. 39:112).  With dfw = N(s-2), dfb = N-1,
+    D = diag(sqrt(s), sqrt(q)) and eigenvalues l1 >= l2 of T = t_outer,
+    sigma2_e pools rss with each eigenvalue below dfb * sigma2_e.  Pooling
+    none gives the interior D Sigma D = T/dfb - sigma2_e I, pooling l2 gives
+    rho = +/-1 with D Sigma D = (l1/dfb - sigma2_e) v1 v1', and pooling both
+    gives zero variances.  The profile in log sigma2_e is concave, so the
+    same truncation stays exact at a floored sigma2_e.
 
     Args:
         data: ClusteredDataset or SuffStats.
-        options: FitOptions.
+        options: FitOptions; only tolerances, allow_degenerate and
+            degenerate_floor are read.
 
     Returns:
-        FitResult.  Deterministic: no randomness is used anywhere.
+        FitResult; converged is True and n_evals is 1 (one likelihood call).
 
     Raises:
         DegenerateDataError: if the data carry no residual variation
@@ -443,68 +456,49 @@ def fit_balanced(data, options=None):
     ss = data if isinstance(data, SuffStats) else sufficient_stats(data)
     design = ss.design
     n, s, q = design.n_clusters, design.cluster_size, design.q
-    dof = design.n_total - 2
+    dfw, dfb = n * (s - 2), n - 1
     rss = ss.rss
-    t = ss.t_outer
-    tcc, tcs, tss = float(t[0, 0]), float(t[0, 1]), float(t[1, 1])
-    sqrt_sq = math.sqrt(s * q)
+    if rss <= 0.0 and not opts.allow_degenerate:
+        raise DegenerateDataError(
+            "no within-cluster residual variation (rss = 0); "
+            "pass allow_degenerate to fit with a floored error variance"
+        )
+    a, b, c = float(ss.t_outer[0, 0]), float(ss.t_outer[0, 1]), float(ss.t_outer[1, 1])
+    half_gap = math.hypot(0.5 * (a - c), b)
+    l1, l2 = 0.5 * (a + c) + half_gap, 0.5 * (a + c) - half_gap
 
-    floored = False
+    s2e = rss / dfw
+    if l2 / dfb < s2e:
+        s2e = (rss + l2) / (dfw + dfb)
+        if l1 / dfb <= s2e:
+            s2e = (rss + l1 + l2) / (n * s - 2)
     if rss <= 0.0:
-        if not opts.allow_degenerate:
-            raise DegenerateDataError(
-                "no within-cluster residual variation (rss = 0); "
-                "pass allow_degenerate to fit with a floored error variance"
-            )
-        floored = True
-        floor = opts.degenerate_floor
-
-    def neg(theta):
-        lc, ls, rho = theta
-        fcc = s * lc * lc + 1.0
-        fss = q * ls * ls + 1.0
-        fcs = sqrt_sq * rho * lc * ls
-        det = fcc * fss - fcs * fcs
-        trace = (fss * tcc - 2.0 * fcs * tcs + fcc * tss) / det
-        s2e = (rss + trace) / dof
-        if floored:
-            s2e = max(s2e, floor)
-        return 0.5 * dof * (math.log(s2e) + 1.0) + 0.5 * (n - 1) * math.log(det)
-
-    # method-of-moments start from the marginal contrast moments
-    s2e0 = rss / (n * (s - 2)) if rss > 0 else opts.degenerate_floor
-    vc0 = max(tcc / (n - 1) - s2e0, 0.0) / s
-    vs0 = max(tss / (n - 1) - s2e0, 0.0) / q
-    lc0 = min(max(math.sqrt(vc0 / s2e0), 1e-3), 0.9 * opts.lambda_max)
-    ls0 = min(max(math.sqrt(vs0 / s2e0), 1e-3), 0.9 * opts.lambda_max)
-    if vc0 > 0 and vs0 > 0:
-        rho0 = tcs / (n - 1) / (sqrt_sq * math.sqrt(vc0 * vs0))
-        rho0 = min(max(rho0, -0.9), 0.9)
-    else:
-        rho0 = 0.0
-
-    theta, _, converged, n_evals = _multistart_maximize(neg, (lc0, ls0, rho0), opts)
-
-    lc, ls, rho = theta
-    fcc = s * lc * lc + 1.0
-    fss = q * ls * ls + 1.0
-    fcs = sqrt_sq * rho * lc * ls
-    det = fcc * fss - fcs * fcs
-    trace = (fss * tcc - 2.0 * fcs * tcs + fcc * tss) / det
-    s2e = (rss + trace) / dof
-    if floored:
         s2e = max(s2e, opts.degenerate_floor)
-    vp = VarianceParams(
-        sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho
-    )
-    label = classify(vp, opts.tolerances)
+
+    if l2 / dfb >= s2e:
+        m_cc, m_ss = max(a / dfb - s2e, 0.0), max(c / dfb - s2e, 0.0)
+        root = math.sqrt(m_cc * m_ss)
+        rho = min(max(b / dfb / root, -1.0), 1.0) if root > 0.0 else 0.0
+    elif l1 / dfb > s2e:
+        # top eigenvector (cos t, sin t) of T; exactly mirrored under b -> -b
+        w = l1 / dfb - s2e
+        angle = 0.5 * math.atan2(2.0 * b, a - c)
+        v0, v1 = math.cos(angle), math.sin(angle)
+        m_cc, m_ss = w * v0 * v0, w * v1 * v1
+        rho = math.copysign(1.0, v0 * v1) if v0 * v1 != 0.0 else 0.0
+    else:
+        m_cc = m_ss = rho = 0.0
+
+    vp = VarianceParams(sigma2_e=s2e, sigma2_c=m_cc / s, sigma2_s=m_ss / q, rho=rho)
     return FitResult(
         params=vp,
-        classification=label,
+        classification=classify(vp, opts.tolerances),
         log_rl=log_restricted_likelihood(ss, vp),
-        converged=converged,
-        n_evals=n_evals,
-        boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, opts.tolerances),
+        converged=True,
+        n_evals=1,
+        boundary_variance=_boundary_variance_tag(
+            vp.sigma2_c / s2e, vp.sigma2_s / s2e, opts.tolerances
+        ),
     )
 
 

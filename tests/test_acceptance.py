@@ -12,7 +12,7 @@ execution.
 Every test accumulates clause violations in a list and fails with the
 complete list, so a red run names each offending clause at once.  All
 Monte Carlo work is keyed to ``MASTER_SEED`` and is bit-reproducible;
-the slow tests (5-8) take a few minutes each on one core.
+the slowest, criterion 8, takes under a minute on two cores.
 """
 
 import itertools
@@ -423,7 +423,7 @@ def test_stationarity_and_local_max_certificates():
 
 
 # ---------------------------------------------------------------------------
-# criterion 5: high-noise outcome rates and sign symmetry (~1 min)
+# criterion 5: high-noise outcome rates and sign symmetry (~1 s)
 # ---------------------------------------------------------------------------
 
 def test_high_noise_outcome_rates_and_sign_symmetry():
@@ -459,7 +459,7 @@ def test_high_noise_outcome_rates_and_sign_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# criterion 6: design changes counter noise changes (~1 min)
+# criterion 6: design changes counter noise changes (~5 s)
 # ---------------------------------------------------------------------------
 
 def test_sample_size_counters_noise_in_simulation():
@@ -493,7 +493,7 @@ def test_sample_size_counters_noise_in_simulation():
 
 
 # ---------------------------------------------------------------------------
-# criterion 7: correlation grid outcome pattern (~1-2 min)
+# criterion 7: correlation grid outcome pattern (~5 s)
 # ---------------------------------------------------------------------------
 
 def test_correlation_grid_outcome_pattern():
@@ -555,7 +555,7 @@ def test_correlation_grid_outcome_pattern():
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: desk-scale factorial map (< 30 min)
+# criterion 8: desk-scale factorial map (< 1 min)
 # ---------------------------------------------------------------------------
 
 def test_desk_scale_factorial_map():

@@ -165,6 +165,19 @@ class TestSummaries:
         assert sm.pct_bad == sm.pct_m1 + sm.pct_p1 + sm.pct_nan == 0.0
         assert sm.mc_se_bad == 0.0
 
+    def test_all_boundary_fits_give_exactly_100(self):
+        # 1/4/1 of 6: the float sum of the three percentages is
+        # 100.00000000000001, which made the standard error's sqrt raise
+        st = ExperimentSetting("t4", "T", 100, 9, -0.5, 10.0, 6)
+        kinds = ([Classification.RHO_MINUS_ONE]
+                 + [Classification.RHO_PLUS_ONE] * 4
+                 + [Classification.ZERO_VARIANCE])
+        recs = [self._fake_record("t4", i, c) for i, c in enumerate(kinds)]
+        sm = summarize(st, recs)
+        assert (sm.n_m1, sm.n_p1, sm.n_nan) == (1, 4, 1)
+        assert sm.pct_bad == 100.0
+        assert sm.mc_se_bad == 0.0
+
     def test_record_count_checked(self):
         st = ExperimentSetting("t3", "T", 100, 9, -0.5, 10.0, 5)
         with pytest.raises(ValueError, match="expected 5"):

@@ -1,5 +1,6 @@
 """Tests for the restricted-likelihood engine on balanced data."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from remlab import (Classification, ClassifyTolerances, ClusteredDataset,
                     DegenerateDataError, DesignSpec, FitOptions, FitResult,
                     FixedEffects, SuffStats, VarianceParams, classify,
-                    fit_balanced, log_restricted_likelihood,
-                    log_rl_dense_oracle, profile_sigma2_r, profiled_log_rl,
-                    profiled_rl_offset, simulate, sufficient_stats)
+                    derive_seed, experiment_catalog, fit_balanced,
+                    log_restricted_likelihood, log_rl_dense_oracle,
+                    profile_sigma2_r, profiled_log_rl, profiled_rl_offset,
+                    simulate, sufficient_stats)
+from remlab._optimize import nelder_mead
 
 RNG = np.random.default_rng(20260825)
+MASTER = 20260825
 
 
 def random_vp(rng):
@@ -214,7 +218,8 @@ class TestFitBalanced:
     @pytest.mark.parametrize("seed,expected,tag", [
         (2, Classification.RHO_MINUS_ONE, None),
         (4, Classification.RHO_PLUS_ONE, None),
-        (0, Classification.ZERO_VARIANCE, "both"),
+        (0, Classification.RHO_PLUS_ONE, None),
+        (3, Classification.ZERO_VARIANCE, "both"),
     ])
     def test_boundary_outcomes(self, seed, expected, tag):
         data = simulate(DesignSpec(50, 9), FixedEffects(0.0, 0.0),
@@ -272,3 +277,89 @@ class TestFitBalanced:
              back.params.sigma2_s, back.params.rho, back.log_rl],
             [fit.params.sigma2_e, fit.params.sigma2_c,
              fit.params.sigma2_s, fit.params.rho, fit.log_rl], rtol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Global optimality of the closed-form fit
+# ---------------------------------------------------------------------------
+
+
+def _replicate_data(setting, rep):
+    """The dataset ``run_replicate`` fits for (setting, rep) at MASTER."""
+    return simulate(setting.design, FixedEffects(0.0, 0.0),
+                    setting.variance_params,
+                    derive_seed(MASTER, setting.id, rep))
+
+
+def _search_best_log_rl(ss):
+    """Best log_rl found by a grid plus Nelder-Mead search.
+
+    Searches theta = (lambda_c, lambda_s, rho), the random-effect standard
+    deviations relative to sigma_e and their correlation, with sigma2_e at
+    its closed-form profile for that theta.  The grid holds 0 and +/-1
+    exactly, so every boundary facet is visited; the best three grid points
+    are then refined by bounded Nelder-Mead, restarted from its own result
+    until it stops improving.
+    """
+    design = ss.design
+    d = np.diag([math.sqrt(design.cluster_size), math.sqrt(design.q)])
+
+    def log_rl(theta):
+        lc, ls, rho = theta
+        off = rho * lc * ls
+        f_rel = d @ np.array([[lc * lc, off], [off, ls * ls]]) @ d + np.eye(2)
+        s2e = ((ss.rss + float(np.trace(np.linalg.solve(f_rel, ss.t_outer))))
+               / (design.n_total - 2))
+        return log_restricted_likelihood(
+            ss, VarianceParams(s2e, lc * lc * s2e, ls * ls * s2e, rho))
+
+    lams = [0.0] + [10.0 ** e for e in np.arange(-4.0, 2.01, 0.5)]
+    grid = sorted(((log_rl(th), th) for th in itertools.product(
+        lams, lams, (-1.0, -0.5, 0.0, 0.5, 1.0))), reverse=True)
+    best = grid[0][0]
+    for f, theta in grid[:3]:
+        bounds = [(0.0, 3.0 * theta[0] + 1e-3), (0.0, 3.0 * theta[1] + 1e-3),
+                  (-1.0, 1.0)]
+        for _ in range(10):
+            theta, neg, _, _ = nelder_mead(lambda th: -log_rl(th), theta,
+                                           bounds, fatol=1e-12, xatol=1e-10)
+            if -neg <= f:
+                break
+            f = -neg
+        best = max(best, f)
+    return best
+
+
+class TestGlobalOptimality:
+    def test_beats_independent_search_on_catalog(self):
+        misses = []
+        for st in experiment_catalog():
+            ss = sufficient_stats(_replicate_data(st, 0))
+            fit = fit_balanced(ss)
+            found = _search_best_log_rl(ss)
+            if fit.log_rl < found - 1e-9 * abs(found):
+                misses.append((st.id, fit.log_rl, found))
+        assert not misses
+
+    def test_mirror_pairs_on_high_noise_settings(self):
+        # reversing each cluster's responses mirrors x on the antisymmetric
+        # grid, so the maximiser must come back mirrored: rho negated, the
+        # +/-1 labels swapped and the same log_rl
+        swap = {Classification.RHO_MINUS_ONE: Classification.RHO_PLUS_ONE,
+                Classification.RHO_PLUS_ONE: Classification.RHO_MINUS_ONE}
+        settings = [st for st in experiment_catalog()
+                    if st.id in ("A3", "A4", "A5")]
+        bad = []
+        for st in settings:
+            for rep in range(40):
+                data = _replicate_data(st, rep)
+                mirror = ClusteredDataset(design=data.design,
+                                          y=data.y[:, ::-1])
+                a, b = fit_balanced(data), fit_balanced(mirror)
+                if (b.classification is not swap.get(a.classification,
+                                                     a.classification)
+                        or abs(a.params.rho + b.params.rho) > 1e-12
+                        or abs(a.log_rl - b.log_rl) > 1e-12 * abs(a.log_rl)):
+                    bad.append((st.id, rep, a.classification,
+                                b.classification, a.log_rl - b.log_rl))
+        assert not bad
