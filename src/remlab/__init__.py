@@ -23,7 +23,6 @@ from .model_system import (
     write_dataset_csv,
 )
 from .predictor import (
-    PredictorInputs,
     log10_predictor_minus_one,
     log10_predictor_plus_one,
     predictor_minus_one,
@@ -38,7 +37,6 @@ from .reml_core import (
     FitResult,
     GeneralCluster,
     GeneralDataset,
-    GeneralFitResult,
     classify,
     eblups,
     fit_balanced,

@@ -68,17 +68,13 @@ class RunConfig:
                 raise UsageError(f"--{name.replace('_', '-')} must be > 0")
 
     def fit_options(self) -> FitOptions | None:
-        if (self.rho_tol is None and self.var_ratio_tol is None
-                and self.lambda_max is None):
-            return None
-        tol = ClassifyTolerances(
-            rho=self.rho_tol if self.rho_tol is not None else 1e-6,
-            variance_ratio=(self.var_ratio_tol
-                            if self.var_ratio_tol is not None else 1e-10))
-        kwargs = {"tolerances": tol}
+        tol = {name: v for name, v in (("rho", self.rho_tol),
+                                       ("variance_ratio", self.var_ratio_tol))
+               if v is not None}
+        kwargs = {"tolerances": ClassifyTolerances(**tol)} if tol else {}
         if self.lambda_max is not None:
             kwargs["lambda_max"] = self.lambda_max
-        return FitOptions(**kwargs)
+        return FitOptions(**kwargs) if kwargs else None
 
 
 def _config_from_args(args) -> RunConfig:
@@ -93,7 +89,11 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _apply_config_file(args) -> None:
-    """Fill unset args from a KEY=VALUE config file; flags win."""
+    """Fill unset args from a KEY=VALUE config file; flags win.
+
+    A key is the spelling of a flag that takes a value, without its leading
+    dashes; its value is converted as the flag converts it.
+    """
     path = getattr(args, "config", None)
     if path is None:
         return
@@ -102,6 +102,7 @@ def _apply_config_file(args) -> None:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from exc
+    flags = args.config_parser._option_string_actions
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -109,17 +110,16 @@ def _apply_config_file(args) -> None:
         if "=" not in line:
             raise DataError(f"config line {lineno}: expected KEY=VALUE")
         key, _, val = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        # config keys use flag spellings; --seed stores to master_seed
-        dest = {"seed": "master_seed"}.get(dest, dest)
-        if not hasattr(args, dest):
-            raise DataError(f"config line {lineno}: unknown key {key.strip()!r}")
-        if getattr(args, dest) is None:
-            cast = {"master_seed": int, "parallelism": int, "reps": int,
-                    "scale": float, "rho_tol": float, "var_ratio_tol": float,
-                    "lambda_max": float}.get(dest, str)
+        key = key.strip()
+        action = flags.get("--" + key.replace("_", "-"))
+        if action is None:
+            raise DataError(f"config line {lineno}: unknown key {key!r}")
+        if action.nargs == 0:
+            raise DataError(f"config line {lineno}: {key!r} is an on/off "
+                            f"switch; pass it as a flag")
+        if getattr(args, action.dest) is None:
             try:
-                setattr(args, dest, cast(val.strip()))
+                setattr(args, action.dest, (action.type or str)(val.strip()))
             except ValueError as exc:
                 raise DataError(f"config line {lineno}: {exc}") from exc
 
@@ -138,6 +138,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="general-engine search bound on sigma_x/sigma_e")
     p.add_argument("--config", default=None,
                    help="KEY=VALUE config file; flags win over file values")
+    p.set_defaults(config_parser=p)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +194,16 @@ def _cmd_fit(args) -> int:
             fixed_columns = tuple(spec["columns"])
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise DataError(f"bad fixed-effects spec: {exc}") from exc
-    try:
-        data = read_dataset_csv(args.data)
+    data = None
+    if not fixed_columns:
+        try:
+            data = read_dataset_csv(args.data)
+        except DataError:
+            pass  # not balanced; the general reader reports bad input
+    if data is not None:
         fit = fit_balanced(data, options)
         engine = "balanced"
-    except DataError:
+    else:
         gen = read_general_csv(args.data, fixed_columns=fixed_columns)
         fit = fit_general(gen, options)
         engine = "general"
@@ -292,12 +298,14 @@ def _cmd_invivo(args) -> int:
         data = _iv.ingest_hmo(args.data)
     else:
         data = _iv.make_surrogate()
-    if args.phi_end < args.phi_start or args.phi_step <= 0:
+    start = 1.0 if args.phi_start is None else args.phi_start
+    end = 2.5 if args.phi_end is None else args.phi_end
+    step = 0.1 if args.phi_step is None else args.phi_step
+    if end < start or step <= 0:
         raise UsageError("bad phi range")
-    n_steps = int(round((args.phi_end - args.phi_start) / args.phi_step))
-    phis = [round(args.phi_start + k * args.phi_step, 10)
-            for k in range(n_steps + 1)]
-    phis = [p for p in phis if p <= args.phi_end + 1e-12]
+    n_steps = int(round((end - start) / step))
+    phis = [round(start + k * step, 10) for k in range(n_steps + 1)]
+    phis = [p for p in phis if p <= end + 1e-12]
     rows = _iv.phi_sweep(data, phis, cfg.fit_options())
     out = args.out or os.path.join(cfg.out_dir, "invivo_sweep.csv")
     _iv.write_sweep_csv(rows, out, data.source)
@@ -392,7 +400,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="FitResult JSON path")
     p.add_argument("--fixed-spec", default=None,
-                   help='JSON {"columns": [...]} of extra fixed-effect columns')
+                   help='JSON {"columns": [...]} of extra fixed-effect '
+                        'columns; naming any selects the general engine')
     _add_common(p)
     p.set_defaults(func=_cmd_fit)
 
@@ -412,9 +421,12 @@ def build_parser() -> _Parser:
     p.add_argument("--data", default=None, help="premium CSV path")
     p.add_argument("--surrogate", action="store_true",
                    help="use the built-in synthetic dataset")
-    p.add_argument("--phi-start", type=float, default=1.0)
-    p.add_argument("--phi-end", type=float, default=2.5)
-    p.add_argument("--phi-step", type=float, default=0.1)
+    p.add_argument("--phi-start", type=float, default=None,
+                   help="first inflation factor (default 1.0)")
+    p.add_argument("--phi-end", type=float, default=None,
+                   help="last inflation factor (default 2.5)")
+    p.add_argument("--phi-step", type=float, default=None,
+                   help="inflation factor step (default 0.1)")
     p.add_argument("--out", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_invivo)

@@ -247,14 +247,10 @@ def run_replicate(setting: ExperimentSetting, master_seed: int, rep: int,
                     setting.variance_params, seed)
     fit = fit_balanced(data, options)
     p = fit.params
-    # When a random-effect variance is estimated as zero the correlation is
-    # unidentified (the likelihood is flat in rho), so report it as NaN.
-    rho_hat = (math.nan if fit.classification is Classification.ZERO_VARIANCE
-               else p.rho)
     return RepRecord(
         experiment=setting.experiment, setting=setting.id, rep=rep, seed=seed,
         sigma2_e=p.sigma2_e, sigma2_c=p.sigma2_c, sigma2_s=p.sigma2_s,
-        rho_hat=rho_hat, classification=fit.classification,
+        rho_hat=fit.rho_hat, classification=fit.classification,
         log_rl=fit.log_rl, converged=fit.converged)
 
 
@@ -401,18 +397,41 @@ class AnovaRow:
     ms: float
 
 
-def _effects_columns(values: np.ndarray) -> tuple[np.ndarray, list]:
-    """Effects-coded columns (levels-1 of them) for one categorical factor.
+def _factor_levels(table: dict, factors: list[str]) -> dict:
+    """Sorted observed levels of each factor column."""
+    return {name: sorted(set(np.asarray(table[name]).tolist()))
+            for name in factors}
 
-    Level k (k < last) gets an indicator column with -1 on the last level,
-    so each factor's coded columns sum to zero over a balanced design.
+
+def _effects_blocks(columns: dict, factors: list[str], levels: dict,
+                    two_way: bool = True) -> list[tuple[str, np.ndarray]]:
+    """Effects-coded design blocks: intercept, main effects, interactions.
+
+    Level k of a factor (k < last) gets an indicator column with -1 on the
+    last level, so each factor's coded columns sum to zero over a balanced
+    design.  `levels` fixes the coding, so rows that are not the table's
+    own (a prediction grid) are coded exactly as the table is.
     """
-    levels = sorted(set(values.tolist()))
-    cols = np.zeros((values.shape[0], len(levels) - 1))
-    for k, lev in enumerate(levels[:-1]):
-        cols[values == lev, k] = 1.0
-    cols[values == levels[-1], :] = -1.0
-    return cols, levels
+    m = len(columns[factors[0]])
+    coded = {}
+    for name in factors:
+        vals = np.asarray(columns[name])
+        lev = levels[name]
+        cols = np.zeros((m, len(lev) - 1))
+        for k, v in enumerate(lev[:-1]):
+            cols[vals == v, k] = 1.0
+        cols[vals == lev[-1], :] = -1.0
+        coded[name] = cols
+
+    blocks = [("intercept", np.ones((m, 1)))]
+    blocks += [(name, coded[name]) for name in factors]
+    if two_way:
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = coded[factors[i]], coded[factors[j]]
+                inter = (a[:, :, None] * b[:, None, :]).reshape(m, -1)
+                blocks.append((f"{factors[i]}:{factors[j]}", inter))
+    return blocks
 
 
 def anova_balanced(table: dict, factors: list[str], response: str,
@@ -444,20 +463,8 @@ def anova_balanced(table: dict, factors: list[str], response: str,
     """
     y = np.asarray(table[response], dtype=float)
     n = y.shape[0]
-    coded = {}
-    for name in factors:
-        vals = np.asarray(table[name])
-        coded[name], _ = _effects_columns(vals)
-
-    blocks: list[tuple[str, np.ndarray]] = [("intercept", np.ones((n, 1)))]
-    for name in factors:
-        blocks.append((name, coded[name]))
-    if two_way:
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = coded[factors[i]], coded[factors[j]]
-                inter = (a[:, :, None] * b[:, None, :]).reshape(n, -1)
-                blocks.append((f"{factors[i]}:{factors[j]}", inter))
+    blocks = _effects_blocks(table, factors, _factor_levels(table, factors),
+                             two_way)
 
     rows: list[AnovaRow] = []
     x = np.empty((n, 0))
@@ -498,30 +505,13 @@ def ls_means(table: dict, factors: list[str], response: str,
     if factor not in factors:
         raise ValueError(f"{factor!r} is not among the factors")
     y = np.asarray(table[response], dtype=float)
-    n = y.shape[0]
-
-    levels = {}
-    for name in factors:
-        levels[name] = sorted(set(np.asarray(table[name]).tolist()))
+    levels = _factor_levels(table, factors)
 
     def design(columns: dict) -> np.ndarray:
-        m = len(next(iter(columns.values())))
-        coded = {}
-        for name in factors:
-            vals = np.asarray(columns[name])
-            cols = np.zeros((m, len(levels[name]) - 1))
-            for k, lev in enumerate(levels[name][:-1]):
-                cols[vals == lev, k] = 1.0
-            cols[vals == levels[name][-1], :] = -1.0
-            coded[name] = cols
-        parts = [np.ones((m, 1))] + [coded[name] for name in factors]
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = coded[factors[i]], coded[factors[j]]
-                parts.append((a[:, :, None] * b[:, None, :]).reshape(m, -1))
-        return np.hstack(parts)
+        return np.hstack([cols for _, cols in
+                          _effects_blocks(columns, factors, levels)])
 
-    x = design({name: table[name] for name in factors})
+    x = design(table)
     beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank != x.shape[1]:
         raise EstimabilityError(

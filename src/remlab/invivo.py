@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .reml_core import (Classification, FitOptions, GeneralCluster,
-                        GeneralDataset, GeneralFitResult, eblups, fit_general)
+from .reml_core import (Classification, FitOptions, FitResult,
+                        GeneralCluster, GeneralDataset, eblups, fit_general)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ class InvivoRow:
 
 
 def fit_hmo(data: HmoDataset,
-            options: FitOptions | None = None) -> GeneralFitResult:
+            options: FitOptions | None = None) -> FitResult:
     """Fit the premium model by restricted maximum likelihood."""
     return fit_general(data.to_general(), options)
 
@@ -323,11 +323,8 @@ def phi_sweep(data: HmoDataset, phis=None,
                     for cl, f, r in zip(gen.clusters, fitted, residuals)]
         fit = fit_general(GeneralDataset(clusters), options)
         p = fit.params
-        rho_hat = (math.nan
-                   if fit.classification is Classification.ZERO_VARIANCE
-                   else p.rho)
         rows.append(InvivoRow(
-            phi=phi, rho_hat=rho_hat, sigma2_e=p.sigma2_e,
+            phi=phi, rho_hat=fit.rho_hat, sigma2_e=p.sigma2_e,
             sigma2_e_over_phi2=p.sigma2_e / phi ** 2,
             sigma2_c=p.sigma2_c, sigma2_s=p.sigma2_s,
             classification=fit.classification))

@@ -23,14 +23,12 @@ comparison.  All evaluators accept scalars or numpy arrays.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .reml_core import profiled_log_rl
 
 __all__ = [
-    "PredictorInputs",
     "predictor_minus_one",
     "predictor_plus_one",
     "log10_predictor_minus_one",
@@ -122,25 +120,6 @@ def log10_predictor_plus_one(n_clusters, cluster_size, rho, r, as_printed=False)
     n, s, rho, r = _validate_arrays(n_clusters, cluster_size, rho, r)
     out = _log10_core(n, s, -rho, r, as_printed)
     return float(out) if np.ndim(out) == 0 else out
-
-
-@dataclass(frozen=True)
-class PredictorInputs:
-    """Validated scalar inputs for the boundary-risk score."""
-
-    n_clusters: int
-    cluster_size: int
-    rho: float
-    r: float
-
-    def __post_init__(self):
-        _validate_arrays(self.n_clusters, self.cluster_size, self.rho, self.r)
-
-    def minus_one(self, as_printed=False):
-        return predictor_minus_one(self.n_clusters, self.cluster_size, self.rho, self.r, as_printed)
-
-    def plus_one(self, as_printed=False):
-        return predictor_plus_one(self.n_clusters, self.cluster_size, self.rho, self.r, as_printed)
 
 
 # ---------------------------------------------------------------------------

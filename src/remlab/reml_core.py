@@ -1,6 +1,7 @@
 """Restricted-likelihood evaluation and maximisation.
 
-Two engines report the same ``VarianceParams``:
+Two engines return the same ``FitResult`` (``VarianceParams``, label,
+log_rl, and the GLS fixed effects ``beta`` from the general engine only):
 
 * the balanced engine works from ``SuffStats``; it evaluates the restricted
   likelihood through a 2x2 matrix and maximises it exactly by eigenvalue
@@ -16,6 +17,9 @@ their correlation; the error variance then has a closed-form profile.  The
 feasible region is a box, and candidate maximisers on every boundary facet
 (rho = -1, rho = +1, lambda_c = 0, lambda_s = 0, both lambdas 0) are solved
 separately so boundary solutions are exact rather than merely nearby.
+
+With a random-effect variance at zero the correlation is unidentified, so
+``FitResult.rho_hat`` reports it as NaN on a ZERO_VARIANCE fit.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ __all__ = [
     "FitResult",
     "GeneralCluster",
     "GeneralDataset",
-    "GeneralFitResult",
     "log_restricted_likelihood",
     "profile_sigma2_r",
     "profiled_log_rl",
@@ -210,26 +213,28 @@ def classify(vp, tol=ClassifyTolerances()):
 class FitOptions:
     """Controls for the restricted-likelihood maximisers.
 
-    lambda_max, fatol, xatol, max_iter and polish_sweeps steer only
-    ``fit_general``: bounded Nelder-Mead from five deterministic starts (the
-    method-of-moments point plus four corners of a box around it), a
-    golden-section polish, then an exact solve on each boundary facet.
-    ``fit_balanced`` is exact and reads only the other three fields.
+    lambda_max bounds the search box of ``fit_general`` (bounded Nelder-Mead
+    from five deterministic starts, a golden-section polish, then an exact
+    solve on each boundary facet); ``fit_balanced`` is exact and ignores it.
+    tolerances label the maximiser for both engines.  allow_degenerate lets
+    ``fit_balanced`` fit data with rss = 0 by flooring sigma2_e at 1e-12.
     """
 
     lambda_max: float = 1e3  # search-box bound on sigma_c/sigma_e and sigma_s/sigma_e
-    fatol: float = 1e-10
-    xatol: float = 1e-8
-    max_iter: int | None = None
-    polish_sweeps: int = 2
     tolerances: ClassifyTolerances = field(default_factory=ClassifyTolerances)
     allow_degenerate: bool = False
-    degenerate_floor: float = 1e-12
+
+
+_DEGENERATE_FLOOR = 1e-12  # sigma2_e floor under allow_degenerate
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Maximiser of the balanced restricted likelihood."""
+    """Restricted-likelihood maximiser from either engine.
+
+    beta holds the GLS fixed effects of ``fit_general``; ``fit_balanced``
+    leaves it None.
+    """
 
     params: VarianceParams
     classification: Classification
@@ -237,19 +242,33 @@ class FitResult:
     converged: bool
     n_evals: int
     boundary_variance: str | None  # "sigma2_c", "sigma2_s", "both", or None
+    beta: np.ndarray | None = None
+
+    @property
+    def rho_hat(self):
+        """The correlation to report: NaN on a ZERO_VARIANCE fit.
+
+        With a random-effect variance at zero the likelihood is flat in rho,
+        so its value there is unidentified.
+        """
+        if self.classification is Classification.ZERO_VARIANCE:
+            return math.nan
+        return self.params.rho
 
     def to_json_dict(self):
-        return {
-            "sigma2_e": self.params.sigma2_e,
-            "sigma2_c": self.params.sigma2_c,
-            "sigma2_s": self.params.sigma2_s,
-            "rho": self.params.rho,
-            "classification": self.classification.value,
-            "log_rl": self.log_rl,
-            "converged": self.converged,
-            "n_evals": self.n_evals,
-            "boundary_variance": self.boundary_variance,
-        }
+        out = {} if self.beta is None else {"beta": [float(b) for b in self.beta]}
+        out.update(
+            sigma2_e=self.params.sigma2_e,
+            sigma2_c=self.params.sigma2_c,
+            sigma2_s=self.params.sigma2_s,
+            rho=self.params.rho,
+            classification=self.classification.value,
+            log_rl=self.log_rl,
+            converged=self.converged,
+            n_evals=self.n_evals,
+            boundary_variance=self.boundary_variance,
+        )
+        return out
 
     def write_json(self, path):
         with open(path, "w") as fh:
@@ -265,44 +284,13 @@ class FitResult:
             converged=d["converged"],
             n_evals=d["n_evals"],
             boundary_variance=d["boundary_variance"],
+            beta=np.array(d["beta"], dtype=float) if "beta" in d else None,
         )
 
     @classmethod
     def read_json(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class GeneralFitResult:
-    """Maximiser of the general restricted likelihood plus GLS fixed effects."""
-
-    beta: np.ndarray
-    params: VarianceParams
-    classification: Classification
-    log_rl: float
-    converged: bool
-    n_evals: int
-    boundary_variance: str | None
-
-    def to_json_dict(self):
-        return {
-            "beta": [float(b) for b in self.beta],
-            "sigma2_e": self.params.sigma2_e,
-            "sigma2_c": self.params.sigma2_c,
-            "sigma2_s": self.params.sigma2_s,
-            "rho": self.params.rho,
-            "classification": self.classification.value,
-            "log_rl": self.log_rl,
-            "converged": self.converged,
-            "n_evals": self.n_evals,
-            "boundary_variance": self.boundary_variance,
-        }
-
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +327,7 @@ def _multistart_maximize(neg, mom, opts):
 
     best_x, best_f, best_conv = None, math.inf, False
     for x0 in starts:
-        x, f, conv, ev = nelder_mead(
-            neg, x0, bounds3, fatol=opts.fatol, xatol=opts.xatol, max_iter=opts.max_iter
-        )
+        x, f, conv, ev = nelder_mead(neg, x0, bounds3)
         total_evals += ev
         if f < best_f:
             best_x, best_f, best_conv = x, f, conv
@@ -349,7 +335,7 @@ def _multistart_maximize(neg, mom, opts):
     def polish(x, f, dims, bounds):
         nonlocal total_evals
         x = list(x)
-        for _ in range(opts.polish_sweeps):
+        for _ in range(2):
             for k in dims:
                 lo, hi = bounds[k]
 
@@ -372,14 +358,7 @@ def _multistart_maximize(neg, mom, opts):
         def neg2(lam, _r=rho_fix):
             return neg((lam[0], lam[1], _r))
 
-        x2, f2, conv2, ev = nelder_mead(
-            neg2,
-            (best_x[0], best_x[1]),
-            bounds3[:2],
-            fatol=opts.fatol,
-            xatol=opts.xatol,
-            max_iter=opts.max_iter,
-        )
+        x2, f2, conv2, ev = nelder_mead(neg2, (best_x[0], best_x[1]), bounds3[:2])
         total_evals += ev
         x3, f3 = polish((x2[0], x2[1], rho_fix), f2, (0, 1), bounds3)
         candidates.append((x3, f3, conv2))
@@ -442,8 +421,7 @@ def fit_balanced(data, options=None):
 
     Args:
         data: ClusteredDataset or SuffStats.
-        options: FitOptions; only tolerances, allow_degenerate and
-            degenerate_floor are read.
+        options: FitOptions; only tolerances and allow_degenerate are read.
 
     Returns:
         FitResult; converged is True and n_evals is 1 (one likelihood call).
@@ -473,7 +451,7 @@ def fit_balanced(data, options=None):
         if l1 / dfb <= s2e:
             s2e = (rss + l1 + l2) / (n * s - 2)
     if rss <= 0.0:
-        s2e = max(s2e, opts.degenerate_floor)
+        s2e = max(s2e, _DEGENERATE_FLOOR)
 
     if l2 / dfb >= s2e:
         m_cc, m_ss = max(a / dfb - s2e, 0.0), max(c / dfb - s2e, 0.0)
@@ -664,14 +642,14 @@ def fit_general(data, options=None):
         sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho
     )
     label = classify(vp, opts.tolerances)
-    return GeneralFitResult(
-        beta=beta,
+    return FitResult(
         params=vp,
         classification=label,
         log_rl=float(-value + 0.5 * pieces.logdet_xtx),
         converged=converged,
         n_evals=n_evals,
         boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, opts.tolerances),
+        beta=beta,
     )
 
 

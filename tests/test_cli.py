@@ -112,6 +112,43 @@ class TestSimulateAndFit:
         payload = json.loads(out.read_text())
         assert "beta" in payload
 
+    def test_balanced_file_without_residual_variation(self, capsys, tmp_path):
+        # balanced but rss = 0: the balanced engine's refusal is the answer,
+        # not a fall-through to the general engine
+        data = tmp_path / "d.csv"
+        out = tmp_path / "fit.json"
+        run_cli(capsys, "simulate", "--N", "30", "--s", "5",
+                "--sigma2-e", "0", "--sigma2-c", "1", "--sigma2-s", "1",
+                "--rho", "0.2", "--seed", "1", "--out", str(data))
+        code, stdout, err = run_cli(capsys, "fit", "--data", str(data),
+                                    "--out", str(out))
+        assert code == 2
+        assert "rss = 0" in err
+        assert "engine" not in stdout
+        assert not out.exists()
+
+    def test_fixed_spec_selects_general_engine(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        out = tmp_path / "fit.json"
+        run_cli(capsys, "simulate", "--N", "40", "--s", "5",
+                "--sigma2-e", "2", "--sigma2-c", "1", "--sigma2-s", "1",
+                "--rho", "0.3", "--seed", "3", "--out", str(data))
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[0].append("z")
+        for k, row in enumerate(rows[1:]):
+            row.append(repr(((7 * k) % 11) / 11.0))
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"columns": ["z"]}))
+        code, stdout, _ = run_cli(capsys, "fit", "--data", str(data),
+                                  "--out", str(out), "--fixed-spec",
+                                  str(spec))
+        assert code == 0
+        assert "engine         = general" in stdout
+        assert len(json.loads(out.read_text())["beta"]) == 3
+
     def test_malformed_data_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "d.csv"
         data.write_text("cluster,x,y\n1,0.0,not_a_number\n")
@@ -217,6 +254,27 @@ class TestInvivoCommand:
         code, _, _ = run_cli(capsys, "invivo", "--surrogate",
                              "--data", str(tmp_path / "x.csv"))
         assert code == 1
+
+    def test_config_sets_phi_range(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("phi-end=1.2\n")
+        sweep = tmp_path / "invivo_sweep.csv"
+        for argv, n_rows in (((), 3), (("--phi-end", "1.0"), 1)):
+            code, _, _ = run_cli(capsys, "invivo", "--surrogate",
+                                 "--out-dir", str(tmp_path),
+                                 "--config", str(cfg), *argv)
+            assert code == 0
+            with open(sweep, newline="") as fh:
+                assert len(list(csv.DictReader(fh))) == n_rows
+
+    def test_config_rejects_switch(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("surrogate=1\n")
+        code, _, err = run_cli(capsys, "invivo", "--surrogate",
+                               "--out-dir", str(tmp_path),
+                               "--config", str(cfg))
+        assert code == 2
+        assert "surrogate" in err
 
     def test_missing_premium_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "invivo", "--data",

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remlab import (DesignSpec, FixedEffects, PredictorInputs,
-                    VarianceParams, log10_predictor_minus_one,
-                    log10_predictor_plus_one, predictor_minus_one,
+from remlab import (DesignSpec, FixedEffects, VarianceParams,
+                    log10_predictor_minus_one, log10_predictor_plus_one,
+                    predictor_minus_one,
                     predictor_plus_one, predictor_sweep, profiled_rho_slope,
                     simulate, sufficient_stats)
 from remlab.predictor import DEFAULT_SWEEP_GRIDS, write_sweep_csv
@@ -61,7 +61,7 @@ class TestReferenceValues:
         with pytest.raises(ValueError):
             predictor_minus_one(500, 21, 0.0, -1.0)
         with pytest.raises(ValueError):
-            PredictorInputs(500, 21, 0.0, math.inf)
+            predictor_minus_one(500, 21, 0.0, math.inf)
 
 
 class TestProperties:

@@ -1,6 +1,7 @@
 """Tests for the restricted-likelihood engine on balanced data."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 
 from remlab import (Classification, ClassifyTolerances, ClusteredDataset,
                     DegenerateDataError, DesignSpec, FitOptions, FitResult,
-                    FixedEffects, SuffStats, VarianceParams, classify,
-                    derive_seed, experiment_catalog, fit_balanced,
-                    log_restricted_likelihood, log_rl_dense_oracle,
+                    FixedEffects, GeneralDataset, SuffStats, VarianceParams,
+                    classify, derive_seed, experiment_catalog, fit_balanced,
+                    fit_general, log_restricted_likelihood, log_rl_dense_oracle,
                     profile_sigma2_r, profiled_log_rl, profiled_rl_offset,
                     simulate, sufficient_stats)
 from remlab._optimize import nelder_mead
@@ -265,10 +266,15 @@ class TestFitBalanced:
         fit = fit_balanced(medium_dataset, opts)
         assert fit.classification is Classification.RHO_MINUS_ONE
 
-    def test_json_round_trip(self, medium_dataset, tmp_path):
-        fit = fit_balanced(medium_dataset)
+    @pytest.mark.parametrize("engine", ["balanced", "general"])
+    def test_json_round_trip(self, engine, medium_dataset, tmp_path):
+        if engine == "balanced":
+            fit = fit_balanced(medium_dataset)
+        else:
+            fit = fit_general(GeneralDataset.from_balanced(medium_dataset))
         path = tmp_path / "fit.json"
         fit.write_json(path)
+        assert ("beta" in json.loads(path.read_text())) == (engine == "general")
         back = FitResult.read_json(path)
         assert back.classification is fit.classification
         assert back.converged == fit.converged
@@ -277,6 +283,10 @@ class TestFitBalanced:
              back.params.sigma2_s, back.params.rho, back.log_rl],
             [fit.params.sigma2_e, fit.params.sigma2_c,
              fit.params.sigma2_s, fit.params.rho, fit.log_rl], rtol=0.0)
+        if fit.beta is None:
+            assert back.beta is None
+        else:
+            np.testing.assert_array_equal(back.beta, fit.beta)
 
 
 # ---------------------------------------------------------------------------
