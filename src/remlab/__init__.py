@@ -19,6 +19,7 @@ from .model_system import (
     moment_q,
     read_dataset_csv,
     simulate,
+    simulate_stats,
     sufficient_stats,
     write_dataset_csv,
 )

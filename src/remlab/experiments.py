@@ -18,13 +18,14 @@ import csv
 import enum
 import hashlib
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EstimabilityError
-from .model_system import DesignSpec, FixedEffects, VarianceParams, simulate
+from .model_system import DesignSpec, FixedEffects, VarianceParams, simulate_stats
 from .predictor import predictor_minus_one, predictor_plus_one
 from .reml_core import Classification, FitOptions, fit_balanced
 
@@ -241,11 +242,11 @@ def derive_seed(master_seed: int, setting_id: str, rep: int) -> int:
 
 def run_replicate(setting: ExperimentSetting, master_seed: int, rep: int,
                   options: FitOptions | None = None) -> RepRecord:
-    """Simulate one dataset for the setting, fit it, and record the outcome."""
+    """Draw one replicate's statistics, fit them, and record the outcome."""
     seed = derive_seed(master_seed, setting.id, rep)
-    data = simulate(setting.design, FixedEffects(0.0, 0.0),
-                    setting.variance_params, seed)
-    fit = fit_balanced(data, options)
+    stats = simulate_stats(setting.design, FixedEffects(0.0, 0.0),
+                           setting.variance_params, seed)
+    fit = fit_balanced(stats, options)
     p = fit.params
     return RepRecord(
         experiment=setting.experiment, setting=setting.id, rep=rep, seed=seed,
@@ -263,32 +264,39 @@ def _run_chunk(args) -> list[RepRecord]:
 def summarize(setting: ExperimentSetting,
               records: list[RepRecord]) -> SettingSummary:
     """Reduce replicate records for one setting to outcome percentages."""
-    if len(records) != setting.reps:
-        raise ValueError(
-            f"expected {setting.reps} records for {setting.id}, "
-            f"got {len(records)}")
-    n_m1 = sum(1 for r in records
-               if r.classification is Classification.RHO_MINUS_ONE)
-    n_p1 = sum(1 for r in records
-               if r.classification is Classification.RHO_PLUS_ONE)
-    n_nan = sum(1 for r in records
-                if r.classification is Classification.ZERO_VARIANCE)
-    reps = setting.reps
-    pct_m1 = 100.0 * n_m1 / reps
-    pct_p1 = 100.0 * n_p1 / reps
-    pct_nan = 100.0 * n_nan / reps
-    # from the counts: the percentages' float sum can exceed 100
-    p = (n_m1 + n_p1 + n_nan) / reps
-    pct_bad = 100.0 * p
-    mc_se_bad = 100.0 * math.sqrt(p * (1.0 - p) / reps)
-    return SettingSummary(
-        setting=setting,
-        pred_m1=predictor_minus_one(setting.n_clusters, setting.cluster_size,
-                                    setting.rho, setting.r),
-        pred_p1=predictor_plus_one(setting.n_clusters, setting.cluster_size,
-                                   setting.rho, setting.r),
-        pct_m1=pct_m1, pct_p1=pct_p1, pct_nan=pct_nan, pct_bad=pct_bad,
-        mc_se_bad=mc_se_bad, n_m1=n_m1, n_p1=n_p1, n_nan=n_nan)
+    return _summaries([setting], [records])[0]
+
+
+def _summaries(settings: list[ExperimentSetting],
+               groups: list[list[RepRecord]]) -> list[SettingSummary]:
+    """Summarize each setting's records; the predictor runs once on arrays."""
+    for st, records in zip(settings, groups):
+        if len(records) != st.reps:
+            raise ValueError(
+                f"expected {st.reps} records for {st.id}, "
+                f"got {len(records)}")
+    inputs = ([st.n_clusters for st in settings],
+              [st.cluster_size for st in settings],
+              [st.rho for st in settings], [st.r for st in settings])
+    preds_m1 = predictor_minus_one(*inputs).tolist()
+    preds_p1 = predictor_plus_one(*inputs).tolist()
+    out = []
+    for st, records, pred_m1, pred_p1 in zip(settings, groups, preds_m1,
+                                             preds_p1):
+        counts = Counter(r.classification for r in records)
+        n_m1 = counts[Classification.RHO_MINUS_ONE]
+        n_p1 = counts[Classification.RHO_PLUS_ONE]
+        n_nan = counts[Classification.ZERO_VARIANCE]
+        reps = st.reps
+        # from the counts: the percentages' float sum can exceed 100
+        p = (n_m1 + n_p1 + n_nan) / reps
+        out.append(SettingSummary(
+            setting=st, pred_m1=pred_m1, pred_p1=pred_p1,
+            pct_m1=100.0 * n_m1 / reps, pct_p1=100.0 * n_p1 / reps,
+            pct_nan=100.0 * n_nan / reps, pct_bad=100.0 * p,
+            mc_se_bad=100.0 * math.sqrt(p * (1.0 - p) / reps),
+            n_m1=n_m1, n_p1=n_p1, n_nan=n_nan))
+    return out
 
 
 def run_setting(setting: ExperimentSetting, master_seed: int,
@@ -327,13 +335,10 @@ def run_settings(settings: list[ExperimentSetting], master_seed: int,
     for chunk in chunks:
         for rec in chunk:
             by_setting[rec.setting].append(rec)
-    records: list[RepRecord] = []
-    summaries: list[SettingSummary] = []
-    for st in settings:
-        recs = sorted(by_setting[st.id], key=lambda r: r.rep)
-        summaries.append(summarize(st, recs))
-        records.extend(recs)
-    return summaries, records
+    groups = [sorted(by_setting[st.id], key=lambda r: r.rep)
+              for st in settings]
+    records = [rec for recs in groups for rec in recs]
+    return _summaries(settings, groups), records
 
 
 def with_reps(settings: list[ExperimentSetting],

@@ -11,8 +11,20 @@ antisymmetric grid on [-1, 1] (odd s, so the grid includes 0).
 
 Because every cluster shares the regressor, the restricted likelihood depends
 on the data only through a scalar residual sum of squares and a 2x2 matrix of
-between-cluster contrast cross-products.  ``sufficient_stats`` computes both
-in O(N*s) without materialising any contrast basis.
+between-cluster contrast cross-products, held in a ``SuffStats``.  There are
+two ways into one:
+
+- ``sufficient_stats`` reduces a dataset (simulated, or read from a CSV) in
+  O(N*s) without materialising any contrast basis;
+- ``simulate_stats`` goes straight from a seed: it draws the same stream as
+  ``simulate`` and reduces the draws without forming the responses, which is
+  what each Monte Carlo replicate does.
+
+``simulate`` stays for everything that needs the data themselves: the
+``remlab simulate`` command (whose files ``remlab fit`` reads), the tests
+that check the statistics against the data, and the benchmark's
+verification, which recomputes every replicate's statistics from
+``simulate``.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ __all__ = [
     "build_h",
     "moment_q",
     "simulate",
+    "simulate_stats",
     "sufficient_stats",
     "read_dataset_csv",
     "write_dataset_csv",
@@ -194,32 +207,57 @@ class ClusteredDataset:
         return self.design.h
 
 
+def _draw(design, seed):
+    """Draw one replicate's standard normals from its own counter-based stream.
+
+    The generator is Philox, so a given 64-bit seed yields the same draws on
+    any platform and in any execution order.  The draw order is fixed: an
+    N x 2 matrix z for the random effects, then the N x s error matrix.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & _SEED_MASK)))
+    z = rng.standard_normal((design.n_clusters, 2))
+    return z, rng.standard_normal((design.n_clusters, design.cluster_size))
+
+
 def simulate(design, fixed, vp, seed):
     """Draw one balanced dataset from the model.
-
-    The generator is counter-based (Philox), so a given 64-bit seed yields
-    the same dataset on any platform and in any execution order.  The draw
-    order is fixed: N standard-normal pairs for the random effects, then the
-    N x s error matrix.
 
     Args:
         design: DesignSpec.
         fixed: FixedEffects.
         vp: VarianceParams (sigma2_e = 0 allowed; gives noise-free data).
-        seed: integer seed; reduced modulo 2**64.
+        seed: integer seed; reduced modulo 2**64 (see ``_draw``).
 
     Returns:
         ClusteredDataset.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & _SEED_MASK)))
-    n, s = design.n_clusters, design.cluster_size
-    h = design.h
-    chol = vp.sigma_cholesky()
-    z = rng.standard_normal((n, 2))
-    betas = np.array([fixed.b0, fixed.b1]) + z @ chol.T
-    eps = rng.standard_normal((n, s)) * math.sqrt(vp.sigma2_e)
-    y = betas[:, :1] + betas[:, 1:] * h[None, :] + eps
+    z, noise = _draw(design, seed)
+    betas = np.array([fixed.b0, fixed.b1]) + z @ vp.sigma_cholesky().T
+    y = betas[:, :1] + betas[:, 1:] * design.h[None, :] + noise * math.sqrt(vp.sigma2_e)
     return ClusteredDataset(design=design, y=y)
+
+
+def simulate_stats(design, fixed, vp, seed):
+    """``sufficient_stats(simulate(design, fixed, vp, seed))`` without the data.
+
+    Draws the same stream as ``simulate`` and reduces it directly.  With
+    P = noise @ [1, h] and 1'h = 0, cluster i's sums are
+    1'y_i = s*b0_i + se*P_i0 and h'y_i = q*b1_i + se*P_i1, and its residuals
+    around its own line are se times those of its noise row, so
+    rss = sigma2_e * (noise'noise - sum_i P_i0^2/s - sum_i P_i1^2/q).  The
+    result agrees with the data path to rounding, and rss is exactly 0.0
+    when sigma2_e = 0.
+
+    Returns:
+        SuffStats.
+    """
+    z, noise = _draw(design, seed)
+    s, q = design.cluster_size, design.q
+    p = (noise @ np.column_stack([np.ones(s), design.h])).T.copy()
+    sums = (vp.sigma_cholesky() @ z.T + [[fixed.b0], [fixed.b1]]) * [[s], [q]]
+    sums += math.sqrt(vp.sigma2_e) * p
+    rss = vp.sigma2_e * float((noise * noise).sum() - (p[0] * p[0]).sum() / s - (p[1] * p[1]).sum() / q)
+    return _stats(design, sums, rss)
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +303,26 @@ def sufficient_stats(data):
     y = data.y
     s = design.cluster_size
     q = design.q
-    h = design.h
 
     sum1 = y.sum(axis=1)
-    sumh = y @ h
+    sumh = y @ design.h
     rss = float((y * y).sum() - (sum1 * sum1).sum() / s - (sumh * sumh).sum() / q)
-    rss = max(rss, 0.0)
+    return _stats(design, np.array([sum1, sumh]), rss)
 
-    v = np.column_stack([sum1 / math.sqrt(s), sumh / math.sqrt(q)])
-    vbar = v.mean(axis=0)
-    t = v.T @ v - design.n_clusters * np.outer(vbar, vbar)
-    t = (t + t.T) / 2.0
-    return SuffStats(design=design, rss=rss, t_outer=t)
+
+def _stats(design, sums, rss):
+    """SuffStats from the 2 x N per-cluster sums (1'y_i, h'y_i) and rss.
+
+    t_outer is D^-1 C C' D^-1 with C the sums centred over clusters (one
+    2 x N by N x 2 product) and D = diag(sqrt(s), sqrt(q)); rss is clipped
+    at 0 against rounding.
+    """
+    sums = sums - sums.sum(axis=1, keepdims=True) / design.n_clusters
+    c = sums @ sums.T
+    s, q = design.cluster_size, design.q
+    off = float(c[0, 1]) / math.sqrt(s * q)
+    t = np.array([[float(c[0, 0]) / s, off], [off, float(c[1, 1]) / q]])
+    return SuffStats(design=design, rss=max(rss, 0.0), t_outer=t)
 
 
 # ---------------------------------------------------------------------------

@@ -437,10 +437,7 @@ def fit_balanced(data, options=None):
     dfw, dfb = n * (s - 2), n - 1
     rss = ss.rss
     if rss <= 0.0 and not opts.allow_degenerate:
-        raise DegenerateDataError(
-            "no within-cluster residual variation (rss = 0); "
-            "pass allow_degenerate to fit with a floored error variance"
-        )
+        raise DegenerateDataError("no within-cluster residual variation (rss = 0)")
     a, b, c = float(ss.t_outer[0, 0]), float(ss.t_outer[0, 1]), float(ss.t_outer[1, 1])
     half_gap = math.hypot(0.5 * (a - c), b)
     l1, l2 = 0.5 * (a + c) + half_gap, 0.5 * (a + c) - half_gap

@@ -124,6 +124,7 @@ class TestSimulateAndFit:
                                     "--out", str(out))
         assert code == 2
         assert "rss = 0" in err
+        assert "allow_degenerate" not in err  # no flag sets it
         assert "engine" not in stdout
         assert not out.exists()
 

@@ -13,8 +13,8 @@ from remlab import (AnovaRow, Classification, ExperimentSetting, RepRecord,
                     sign_test_plus_vs_minus, summarize, two_proportion_pvalue,
                     with_reps)
 from remlab.errors import EstimabilityError
-from remlab.experiments import (SettingSummary, write_replicate_csv,
-                                write_summary_csv)
+from remlab.experiments import (SettingSummary, _summaries,
+                                write_replicate_csv, write_summary_csv)
 
 MASTER = 20260825
 
@@ -182,6 +182,28 @@ class TestSummaries:
         st = ExperimentSetting("t3", "T", 100, 9, -0.5, 10.0, 5)
         with pytest.raises(ValueError, match="expected 5"):
             summarize(st, [])
+
+    def test_catalog_predictors_equal_scalar_calls(self):
+        # one array call for all settings gives the scalar values exactly
+        summaries, _ = run_settings(with_reps(experiment_catalog(), 1),
+                                    MASTER)
+        assert len(summaries) == 50
+        for sm in summaries:
+            st = sm.setting
+            args = (st.n_clusters, st.cluster_size, st.rho, st.r)
+            assert sm.pred_m1 == predictor_minus_one(*args), st.id
+            assert sm.pred_p1 == predictor_plus_one(*args), st.id
+            assert type(sm.pred_m1) is float and type(sm.pred_p1) is float
+
+    def test_factorial_predictors_equal_scalar_calls(self):
+        grid = with_reps(factorial_grid(), 1)
+        groups = [[self._fake_record(st.id, 0, Classification.GOOD)]
+                  for st in grid]
+        for sm in _summaries(grid, groups):
+            st = sm.setting
+            args = (st.n_clusters, st.cluster_size, st.rho, st.r)
+            assert sm.pred_m1 == predictor_minus_one(*args), st.id
+            assert sm.pred_p1 == predictor_plus_one(*args), st.id
 
 
 class TestRunSettings:

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remlab import (DataError, DesignSpec, FixedEffects, VarianceParams,
-                    build_h, moment_q, read_dataset_csv, simulate,
-                    sufficient_stats, write_dataset_csv)
+                    build_h, derive_seed, experiment_catalog, factorial_grid,
+                    fit_balanced, moment_q, read_dataset_csv, simulate,
+                    simulate_stats, sufficient_stats, write_dataset_csv)
+
+MASTER = 20260825
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +162,41 @@ class TestSimulate:
         s2e_hat = ss.rss / (n * (s - 2))
         assert abs(s2e_hat - vp.sigma2_e) < 4.0 * vp.sigma2_e \
             * math.sqrt(2.0 / (n * (s - 2)))
+
+
+class TestSimulateStats:
+    @pytest.mark.parametrize("grid", [experiment_catalog(),
+                                      factorial_grid(scale=0.3)],
+                             ids=["catalog", "factorial"])
+    def test_matches_data_path(self, grid):
+        # the statistic draw reduces the same stream as the data path, so
+        # the two agree to rounding and every fit is the same fit
+        for st in grid:
+            args = (st.design, FixedEffects(0.0, 0.0), st.variance_params,
+                    derive_seed(MASTER, st.id, 0))
+            got = simulate_stats(*args)
+            ref = sufficient_stats(simulate(*args))
+            assert got.design == ref.design
+            np.testing.assert_allclose(got.rss, ref.rss, rtol=1e-12)
+            assert (np.abs(got.t_outer - ref.t_outer).max()
+                    <= 1e-12 * np.abs(ref.t_outer).max()), st.id
+            fit, ref_fit = fit_balanced(got), fit_balanced(ref)
+            assert fit.classification is ref_fit.classification, st.id
+            np.testing.assert_allclose(fit.log_rl, ref_fit.log_rl,
+                                       rtol=1e-12)
+
+    def test_fixed_effects_cancel(self):
+        d, vp = DesignSpec(40, 7), VarianceParams(2.0, 1.0, 0.5, -0.3)
+        a = simulate_stats(d, FixedEffects(0.0, 0.0), vp, 5)
+        b = simulate_stats(d, FixedEffects(3.0, -2.0), vp, 5)
+        np.testing.assert_allclose(b.rss, a.rss, rtol=1e-12)
+        np.testing.assert_allclose(b.t_outer, a.t_outer, rtol=1e-12)
+
+    def test_noise_free_rss_is_exactly_zero(self):
+        ss = simulate_stats(DesignSpec(30, 5), FixedEffects(1.0, 2.0),
+                            VarianceParams(0.0, 1.0, 1.0, 0.2), 1)
+        assert ss.rss == 0.0
+        assert np.all(np.linalg.eigvalsh(ss.t_outer) > 0)
 
 
 # ---------------------------------------------------------------------------
