@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EstimabilityError
-from .model_system import DesignSpec, FixedEffects, VarianceParams, simulate_stats
+from .model_system import DesignSpec, VarianceParams, simulate_stats
 from .predictor import predictor_minus_one, predictor_plus_one
 from .reml_core import Classification, FitOptions, fit_balanced
 
@@ -244,8 +244,7 @@ def run_replicate(setting: ExperimentSetting, master_seed: int, rep: int,
                   options: FitOptions | None = None) -> RepRecord:
     """Draw one replicate's statistics, fit them, and record the outcome."""
     seed = derive_seed(master_seed, setting.id, rep)
-    stats = simulate_stats(setting.design, FixedEffects(0.0, 0.0),
-                           setting.variance_params, seed)
+    stats = simulate_stats(setting.design, setting.variance_params, seed)
     fit = fit_balanced(stats, options)
     p = fit.params
     return RepRecord(

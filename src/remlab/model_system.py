@@ -237,12 +237,14 @@ def simulate(design, fixed, vp, seed):
     return ClusteredDataset(design=design, y=y)
 
 
-def simulate_stats(design, fixed, vp, seed):
+def simulate_stats(design, vp, seed):
     """``sufficient_stats(simulate(design, fixed, vp, seed))`` without the data.
 
-    Draws the same stream as ``simulate`` and reduces it directly.  With
-    P = noise @ [1, h] and 1'h = 0, cluster i's sums are
-    1'y_i = s*b0_i + se*P_i0 and h'y_i = q*b1_i + se*P_i1, and its residuals
+    The statistics are invariant to the fixed effects (rss is within-cluster
+    and t_outer is centred over clusters), so none are taken.  Draws the same
+    stream as ``simulate`` and reduces it directly.  With P = noise @ [1, h]
+    and 1'h = 0, cluster i's sums are 1'y_i = s*u0_i + se*P_i0 and
+    h'y_i = q*u1_i + se*P_i1 for its random effects u_i, and its residuals
     around its own line are se times those of its noise row, so
     rss = sigma2_e * (noise'noise - sum_i P_i0^2/s - sum_i P_i1^2/q).  The
     result agrees with the data path to rounding, and rss is exactly 0.0
@@ -254,7 +256,7 @@ def simulate_stats(design, fixed, vp, seed):
     z, noise = _draw(design, seed)
     s, q = design.cluster_size, design.q
     p = (noise @ np.column_stack([np.ones(s), design.h])).T.copy()
-    sums = (vp.sigma_cholesky() @ z.T + [[fixed.b0], [fixed.b1]]) * [[s], [q]]
+    sums = vp.sigma_cholesky() @ z.T * [[s], [q]]
     sums += math.sqrt(vp.sigma2_e) * p
     rss = vp.sigma2_e * float((noise * noise).sum() - (p[0] * p[0]).sum() / s - (p[1] * p[1]).sum() / q)
     return _stats(design, sums, rss)
