@@ -472,7 +472,7 @@ def anova_balanced(table: dict, factors: list[str], response: str,
 
     rows: list[AnovaRow] = []
     x = np.empty((n, 0))
-    rss_prev = float(y @ y)
+    rss_prev = float((y * y).sum())
     rank_prev = 0
     for term, cols in blocks:
         x = np.hstack([x, cols])
@@ -481,7 +481,7 @@ def anova_balanced(table: dict, factors: list[str], response: str,
             raise EstimabilityError(
                 f"term '{term}' is not estimable (empty cells in the design)")
         resid = y - x @ beta
-        rss = float(resid @ resid)
+        rss = float((resid * resid).sum())
         df = cols.shape[1]
         if term != "intercept":
             rows.append(AnovaRow(term, df, rss_prev - rss,

@@ -293,35 +293,43 @@ def default_phi_grid() -> list[float]:
     return [round(1.0 + 0.1 * k, 10) for k in range(16)]
 
 
-def phi_sweep(data: HmoDataset, phis=None,
-              options: FitOptions | None = None) -> list[InvivoRow]:
-    """Refit the model with residuals inflated by each phi in the grid.
+def inflated_datasets(data: HmoDataset, phis,
+                      options: FitOptions | None = None):
+    """Yield (phi, dataset) for each phi: the data that `phi_sweep` refits.
 
     The baseline fit's fitted values include the cluster-level random
     effects (shrunken predictions), so the inflated response is
     fit + phi * residual; phi = 1 reproduces the original data exactly.
+    """
+    gen = data.to_general()
+    base = fit_general(gen, options)
+    u = eblups(base, gen)
+    fitted = [cl.X @ base.beta + u[i, 0] + u[i, 1] * cl.x
+              for i, cl in enumerate(gen.clusters)]
+    residuals = [cl.y - f for cl, f in zip(gen.clusters, fitted)]
+    for phi in phis:
+        phi = float(phi)
+        if phi < 1.0:
+            raise ValueError("phi must be >= 1")
+        yield phi, GeneralDataset(
+            [GeneralCluster(x=cl.x, X=cl.X, y=f + phi * r)
+             for cl, f, r in zip(gen.clusters, fitted, residuals)])
+
+
+def phi_sweep(data: HmoDataset, phis=None,
+              options: FitOptions | None = None) -> list[InvivoRow]:
+    """Refit the model with residuals inflated by each phi in the grid.
+
+    See `inflated_datasets` for the refitted data.
 
     Returns:
         One InvivoRow per phi, in grid order.
     """
     if phis is None:
         phis = default_phi_grid()
-    gen = data.to_general()
-    base = fit_general(gen, options)
-    u = eblups(base, gen)
     rows: list[InvivoRow] = []
-    fitted = []
-    for i, cl in enumerate(gen.clusters):
-        fitted.append(cl.X @ base.beta + u[i, 0] + u[i, 1] * cl.x)
-    residuals = [cl.y - f for cl, f in zip(gen.clusters, fitted)]
-
-    for phi in phis:
-        phi = float(phi)
-        if phi < 1.0:
-            raise ValueError("phi must be >= 1")
-        clusters = [GeneralCluster(x=cl.x, X=cl.X, y=f + phi * r)
-                    for cl, f, r in zip(gen.clusters, fitted, residuals)]
-        fit = fit_general(GeneralDataset(clusters), options)
+    for phi, inflated in inflated_datasets(data, phis, options):
+        fit = fit_general(inflated, options)
         p = fit.params
         rows.append(InvivoRow(
             phi=phi, rho_hat=fit.rho_hat, sigma2_e=p.sigma2_e,

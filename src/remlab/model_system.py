@@ -300,6 +300,12 @@ def sufficient_stats(data):
     rss_i = y_i'y_i - (1'y_i)^2/s - (h'y_i)^2/q, and the contrast matrix is
     accumulated from the scaled projections v_i.  No residual-contrast basis
     is ever formed.
+
+    rss is a difference of sums that each reach up to y'y, so a value below
+    their worst-case rounding error, n_total * eps * y'y (Higham 2002,
+    Accuracy and Stability of Numerical Algorithms, sec. 4.2), carries no
+    information and is returned as exactly 0.0: noise-free data then give
+    rss = 0 whatever the rounding.
     """
     design = data.design
     y = data.y
@@ -308,7 +314,10 @@ def sufficient_stats(data):
 
     sum1 = y.sum(axis=1)
     sumh = y @ design.h
-    rss = float((y * y).sum() - (sum1 * sum1).sum() / s - (sumh * sumh).sum() / q)
+    yy = float((y * y).sum())
+    rss = yy - float((sum1 * sum1).sum()) / s - float((sumh * sumh).sum()) / q
+    if rss <= design.n_total * np.finfo(float).eps * yy:
+        rss = 0.0
     return _stats(design, np.array([sum1, sumh]), rss)
 
 

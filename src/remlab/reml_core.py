@@ -9,14 +9,20 @@ log_rl, and the GLS fixed effects ``beta`` from the general engine only):
 
 * the general engine handles unequal cluster sizes, arbitrary within-cluster
   regressor values and extra fixed effects, reducing each cluster to 2x2 and
-  2xp cross-products once and reusing them at every objective call.
+  2x(p+1) cross-products once.  One objective call is then closed-form 2x2
+  algebra on length-k arrays, one matrix-vector product and one Cholesky
+  factorisation of a (p+1)x(p+1) matrix (see ``_GeneralPieces``).
 
 The general engine searches theta = (lambda_c, lambda_s, rho), the random-
 effect standard deviations *relative to the error standard deviation* and
 their correlation; the error variance then has a closed-form profile.  The
 feasible region is a box, and candidate maximisers on every boundary facet
 (rho = -1, rho = +1, lambda_c = 0, lambda_s = 0, both lambdas 0) are solved
-separately so boundary solutions are exact rather than merely nearby.
+separately so boundary solutions are exact rather than merely nearby.  The
+winning candidate is finished by Newton steps on the analytic gradient of
+the objective over its free coordinates, so the returned optimum does not
+depend on the search path or on the order of the clusters, and
+``FitResult.converged`` reports whether the box optimality test holds there.
 
 With a random-effect variance at zero the correlation is unidentified, so
 ``FitResult.rho_hat`` reports it as NaN on a ZERO_VARIANCE fit.
@@ -215,8 +221,10 @@ class FitOptions:
 
     lambda_max bounds the search box of ``fit_general`` (bounded Nelder-Mead
     from five deterministic starts, a golden-section polish, then an exact
-    solve on each boundary facet); ``fit_balanced`` is exact and ignores it.
-    tolerances label the maximiser for both engines.  allow_degenerate lets
+    solve on each boundary facet, and a Newton finish on the winner);
+    ``fit_balanced`` is exact and ignores it.  tolerances label the
+    maximiser for both engines, and ``fit_general`` reports a fit that they
+    call a boundary exactly on that boundary.  allow_degenerate lets
     ``fit_balanced`` fit data with rss = 0 by flooring sigma2_e at 1e-12.
     """
 
@@ -301,9 +309,11 @@ class FitResult:
 def _multistart_maximize(neg, mom, opts):
     """Maximise -neg over the (lambda_c, lambda_s, rho) box.
 
-    neg must be finite everywhere on the box.  Returns
-    (theta, neg_value, converged, n_evals); boundary coordinates of the
-    returned theta are exact when a facet candidate wins.
+    neg must be finite everywhere on the box.  Returns (candidates, n_evals):
+    a list of (theta, neg_value) pairs, the polished interior search first,
+    then the rho = -1 and rho = +1 facets, the lambda_c = 0 and lambda_s = 0
+    facets and the zero corner.  Boundary coordinates of a facet candidate
+    are exact.
     """
     lam_max = opts.lambda_max
     bounds3 = [(0.0, lam_max), (0.0, lam_max), (-1.0, 1.0)]
@@ -325,12 +335,12 @@ def _multistart_maximize(neg, mom, opts):
         (lc_hi, ls_lo, rho_hi),
     ]
 
-    best_x, best_f, best_conv = None, math.inf, False
+    best_x, best_f = None, math.inf
     for x0 in starts:
-        x, f, conv, ev = nelder_mead(neg, x0, bounds3)
+        x, f, _, ev = nelder_mead(neg, x0, bounds3)
         total_evals += ev
         if f < best_f:
-            best_x, best_f, best_conv = x, f, conv
+            best_x, best_f = x, f
 
     def polish(x, f, dims, bounds):
         nonlocal total_evals
@@ -351,17 +361,16 @@ def _multistart_maximize(neg, mom, opts):
         return tuple(x), f
 
     best_x, best_f = polish(best_x, best_f, (0, 1, 2), bounds3)
-    candidates = [(best_x, best_f, best_conv)]
+    candidates = [(best_x, best_f)]
 
     # correlation facets: rho pinned, 2-D search over the lambdas
     for rho_fix in (-1.0, 1.0):
         def neg2(lam, _r=rho_fix):
             return neg((lam[0], lam[1], _r))
 
-        x2, f2, conv2, ev = nelder_mead(neg2, (best_x[0], best_x[1]), bounds3[:2])
+        x2, f2, _, ev = nelder_mead(neg2, (best_x[0], best_x[1]), bounds3[:2])
         total_evals += ev
-        x3, f3 = polish((x2[0], x2[1], rho_fix), f2, (0, 1), bounds3)
-        candidates.append((x3, f3, conv2))
+        candidates.append(polish((x2[0], x2[1], rho_fix), f2, (0, 1), bounds3))
 
     # vanished-variance facets: rho is unidentified there, reported as 0
     def neg_ls(v):
@@ -369,24 +378,19 @@ def _multistart_maximize(neg, mom, opts):
 
     xs, fs, ev = golden_section(neg_ls, 0.0, lam_max, xatol=1e-10)
     total_evals += ev
-    candidates.append(((0.0, xs, 0.0), fs, True))
+    candidates.append(((0.0, xs, 0.0), fs))
 
     def neg_lc(v):
         return neg((v, 0.0, 0.0))
 
     xc, fc, ev = golden_section(neg_lc, 0.0, lam_max, xatol=1e-10)
     total_evals += ev
-    candidates.append(((xc, 0.0, 0.0), fc, True))
+    candidates.append(((xc, 0.0, 0.0), fc))
 
     f0 = neg((0.0, 0.0, 0.0))
     total_evals += 1
-    candidates.append(((0.0, 0.0, 0.0), f0, True))
-
-    theta, fval, conv = candidates[0]
-    for cand_x, cand_f, cand_conv in candidates[1:]:
-        if cand_f < fval:
-            theta, fval, conv = cand_x, cand_f, cand_conv
-    return theta, fval, conv, total_evals
+    candidates.append(((0.0, 0.0, 0.0), f0))
+    return candidates, total_evals
 
 
 def _boundary_variance_tag(lc2, ls2, tol):
@@ -547,74 +551,155 @@ class GeneralDataset:
 
 
 class _GeneralPieces:
-    """Per-cluster cross-products reused at every objective evaluation."""
+    """Per-cluster cross-products reused at every objective evaluation.
+
+    With H_k = [1, x] and the relative covariance Sigma = [[a, b], [b, c]]
+    of theta = (lambda_c, lambda_s, rho), V_k / sigma2_e = I + H_k Sigma H_k'
+    has inverse I - H_k S_k H_k' with S_k = Sigma (I + C_k Sigma)^-1 and
+    C_k = H_k'H_k.  In closed form S_k = (Sigma + det(Sigma) adj(C_k)) / d_k
+    with d_k = det(I + C_k Sigma), so S_k is exactly symmetric, and d_k and
+    the numerators of (S00, 2 S01, S11) are linear in (1, a, 2b, c, det
+    Sigma): one small product ``lin`` gives them for every cluster.
+
+    With Z_k = H_k'[X_k, y_k], the augmented GLS matrix
+    [[X'V^-1X, X'V^-1y], [., y'V^-1y]] is [X, y]'[X, y] - sum_k Z_k'S_k Z_k,
+    and Z_k'S_k Z_k is linear in (S00, 2 S01, S11); ``W`` stacks those three
+    products for every cluster, so one matrix-vector product forms the whole
+    matrix.  Its Cholesky factor gives log det(X'V^-1X) from the first p
+    pivots and the GLS residual sum of squares as the last pivot squared
+    (a Schur complement).
+    """
 
     def __init__(self, data):
-        k = data.n_clusters
-        p = data.p
-        self.p = p
-        self.n_total = data.n_total
-        self.C = np.empty((k, 2, 2))
-        self.G = np.empty((k, 2, p))
-        self.hy = np.empty((k, 2))
-        self.XtX = np.zeros((p, p))
-        self.Xty = np.zeros(p)
-        self.yty = 0.0
-        for i, c in enumerate(data.clusters):
-            H = np.column_stack([np.ones_like(c.x), c.x])
-            self.C[i] = H.T @ H
-            self.G[i] = H.T @ c.X
-            self.hy[i] = H.T @ c.y
-            self.XtX += c.X.T @ c.X
-            self.Xty += c.X.T @ c.y
-            self.yty += float(c.y @ c.y)
-        if np.linalg.matrix_rank(self.XtX) < p:
+        sizes = np.array([c.x.shape[0] for c in data.clusters])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        x = np.concatenate([c.x for c in data.clusters])
+        xy = np.concatenate([np.column_stack([c.X, c.y]) for c in data.clusters])
+        p = self.p = data.p
+        k = self.k = len(sizes)
+        self.dof = data.n_total - p
+        self.offset = 0.5 * self.dof * (1.0 - math.log(self.dof))
+
+        c00, c01, c11 = sizes.astype(float), np.add.reduceat(x, starts), np.add.reduceat(x * x, starts)
+        self.c = np.stack([[c00, c01], [c01, c11]]).transpose(2, 0, 1)
+        one, zero = np.ones(k), np.zeros(k)
+        self.lin = np.block([
+            [one, zero, zero, zero],
+            [c00, one, zero, zero],
+            [c01, zero, one, zero],
+            [c11, zero, zero, one],
+            [c00 * c11 - c01 * c01, c11, -2.0 * c01, c00],
+        ])
+
+        z0, z1 = np.add.reduceat(xy, starts), np.add.reduceat(x[:, None] * xy, starts)
+        self.z = np.stack([z0, z1], axis=1)  # (k, 2, p + 1)
+        self.W = np.stack([
+            z0[:, :, None] * z0[:, None, :],
+            0.5 * (z0[:, :, None] * z1[:, None, :] + z1[:, :, None] * z0[:, None, :]),
+            z1[:, :, None] * z1[:, None, :],
+        ]).reshape(3 * k, (p + 1) * (p + 1))
+        self.base = xy.T @ xy
+        xtx = self.base[:p, :p]
+        if np.linalg.matrix_rank(xtx) < p:
             raise DataError("fixed-effect design is rank deficient")
-        _, self.logdet_xtx = np.linalg.slogdet(self.XtX)
+        _, self.logdet_xtx = np.linalg.slogdet(xtx)
 
-    def solve(self, theta):
-        """GLS pieces at relative covariance theta = (lc, ls, rho).
+    def _s(self, theta):
+        """d_k = det(I + C_k Sigma) and the weights (S00, 2 S01, S11), shape (3, k)."""
+        lc, ls, rho = theta
+        det_sig = (lc * ls) ** 2 * (1.0 - rho * rho)
+        out = np.array([1.0, lc * lc, 2.0 * rho * lc * ls, ls * ls, det_sig]) @ self.lin
+        det = out[: self.k]
+        return det, out[self.k :].reshape(3, self.k) / det
 
-        Returns (neg_profiled_loglik, beta, sigma2_e_hat, sigma_rel) or
-        (big, None, None, None) when the profile is numerically unusable.
+    def _gls_matrix(self, w):
+        return self.base - (w.reshape(-1) @ self.W).reshape(self.p + 1, self.p + 1)
+
+    def value(self, theta):
+        """Negative profiled log restricted likelihood at theta, up to a constant.
+
+        0.5 dof (log(rss/dof) + 1) + 0.5 sum_k log d_k + 0.5 log det X'V^-1X,
+        or 1e30 where the profile is numerically unusable: some d_k <= 0, or
+        an augmented GLS matrix that is not positive definite (singular
+        X'V^-1X or no GLS residual).
+        """
+        det, w = self._s(theta)
+        if not det.min() > 0:
+            return 1e30
+        try:
+            chol = np.linalg.cholesky(self._gls_matrix(w))
+        except np.linalg.LinAlgError:
+            return 1e30
+        log_piv = np.log(chol.diagonal())
+        return float(
+            self.dof * log_piv[-1] + self.offset + 0.5 * np.log(det).sum() + log_piv[:-1].sum()
+        )
+
+    def gls(self, theta):
+        """GLS fixed effects and profiled sigma2_e at theta."""
+        p = self.p
+        m = self._gls_matrix(self._s(theta)[1])
+        beta = np.linalg.solve(m[:p, :p], m[:p, p])
+        return beta, float(m[p, p] - m[:p, p] @ beta) / self.dof
+
+    def eblups(self, theta, beta):
+        """u_k = S_k (H_k'y_k - G_k beta) for every cluster, shape (k, 2)."""
+        w = self._s(theta)[1]
+        r0, r1 = (self.z @ np.append(-beta, 1.0)).T
+        return np.column_stack([w[0] * r0 + 0.5 * w[1] * r1, 0.5 * w[1] * r0 + w[2] * r1])
+
+    def gradient(self, theta):
+        """Analytic gradient of ``value`` in theta = (lambda_c, lambda_s, rho).
+
+        With A_k = I + C_k Sigma, G_k = H_k'X_k and r_k = H_k'(y_k - X_k beta),
+        d value = tr(M dSigma) for symmetric dSigma (Lindstrom & Bates 1988,
+        JASA 83:1014), where 2 M is
+            sum_k A_k^-1 C_k                                  (log det V)
+            - sum_k A_k^-1 G_k (X'V^-1X)^-1 G_k' A_k^-T       (log det X'V^-1X)
+            - dof / rss * sum_k (A_k^-1 r_k)(A_k^-1 r_k)'      (profiled rss)
+        The chain rule through Sigma = [[lc^2, rho lc ls], [., ls^2]] then
+        gives the three partial derivatives.
         """
         lc, ls, rho = theta
+        p = self.p
+        m = self._gls_matrix(self._s(theta)[1])
+        xvx_inv = np.linalg.inv(m[:p, :p])
+        beta = xvx_inv @ m[:p, p]
+        rss = float(m[p, p] - m[:p, p] @ beta)
         sig = np.array([[lc * lc, rho * lc * ls], [rho * lc * ls, ls * ls]])
-        A = np.eye(2)[None, :, :] + self.C @ sig
-        det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
-        if np.any(det <= 0):
-            return 1e30, None, None, None
-        inv = np.empty_like(A)
-        inv[:, 0, 0] = A[:, 1, 1] / det
-        inv[:, 1, 1] = A[:, 0, 0] / det
-        inv[:, 0, 1] = -A[:, 0, 1] / det
-        inv[:, 1, 0] = -A[:, 1, 0] / det
-        S = sig[None, :, :] @ inv
-        S = (S + np.swapaxes(S, 1, 2)) / 2.0
-
-        xvx = self.XtX - np.einsum("kji,kjl,klm->im", self.G, S, self.G)
-        xvy = self.Xty - np.einsum("kji,kjl,kl->i", self.G, S, self.hy)
-        yvy = self.yty - float(np.einsum("kj,kjl,kl->", self.hy, S, self.hy))
-        try:
-            beta = np.linalg.solve(xvx, xvy)
-        except np.linalg.LinAlgError:
-            return 1e30, None, None, None
-        sign, logdet_xvx = np.linalg.slogdet(xvx)
-        if sign <= 0:
-            return 1e30, None, None, None
-        rss_gls = yvy - float(xvy @ beta)
-        dof = self.n_total - self.p
-        if rss_gls <= 0:
-            return 1e30, None, None, None
-        s2e = rss_gls / dof
-        value = (
-            0.5 * dof * (math.log(s2e) + 1.0) + 0.5 * float(np.log(det).sum()) + 0.5 * logdet_xvx
+        a_inv = np.linalg.inv(np.eye(2) + self.c @ sig)
+        left = a_inv @ self.z[:, :, :p]
+        u = a_inv @ (self.z @ np.append(-beta, 1.0))[:, :, None]
+        mat = 0.5 * (
+            (a_inv @ self.c).sum(axis=0)
+            - (left @ xvx_inv @ left.transpose(0, 2, 1)).sum(axis=0)
+            - self.dof / rss * (u @ u.transpose(0, 2, 1)).sum(axis=0)
         )
-        return value, beta, s2e, sig
+        m00, m01, m11 = mat[0, 0], 0.5 * (mat[0, 1] + mat[1, 0]), mat[1, 1]
+        return np.array([
+            2.0 * (m00 * lc + m01 * rho * ls),
+            2.0 * (m11 * ls + m01 * rho * lc),
+            2.0 * m01 * lc * ls,
+        ])
 
 
 def fit_general(data, options=None):
     """Maximise the restricted likelihood of an unbalanced dataset.
+
+    The multistart search of ``_multistart_maximize`` picks the winning
+    candidate; ``_newton_finish`` then solves the analytic gradient on the
+    winner's free coordinates.  A lambda or rho that the tolerances call a
+    boundary is first set onto it (``_snap``), and the finish runs there.
+
+    converged means that the box optimality test holds at the returned
+    theta to ``_GRAD_TOL``: every free partial derivative of -log_rl in
+    theta is at most _GRAD_TOL in size, and at rho = +1 (-1) its rho
+    derivative is at most _GRAD_TOL (at least -_GRAD_TOL), so that -log_rl
+    does not fall inward.  On a lambda = 0 facet only the free coordinate
+    is checked: the lambda derivatives vanish identically there.  A fit
+    that is not converged is not a maximiser over the box: -log_rl falls
+    along some feasible direction from it.  n_evals counts objective and
+    gradient calls.
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
@@ -623,31 +708,138 @@ def fit_general(data, options=None):
     opts = options or FitOptions()
     pieces = _GeneralPieces(data)
 
-    def neg(theta):
-        return pieces.solve(theta)[0]
-
     mom = _general_moment_start(data, opts)
-    if not math.isfinite(neg(mom)) or neg(mom) >= 1e30:
+    if not pieces.value(mom) < 1e30:
         raise DegenerateDataError("restricted likelihood is unusable at the starting point")
 
-    theta, _, converged, n_evals = _multistart_maximize(neg, mom, opts)
-    value, beta, s2e, _ = pieces.solve(theta)
-    if beta is None:
-        raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
+    candidates, n_evals = _multistart_maximize(pieces.value, mom, opts)
+    theta, value = min(candidates, key=lambda c: c[1])
+    while True:
+        snapped = _snap(theta, opts.tolerances)
+        if snapped != theta:
+            theta, value = snapped, pieces.value(snapped)
+            n_evals += 1
+        if not value < 1e30:
+            raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
+        theta, value, grad, n_finish = _newton_finish(pieces, theta, value, opts.lambda_max)
+        n_evals += n_finish
+        if _snap(theta, opts.tolerances) == theta:
+            break
+    beta, s2e = pieces.gls(theta)
     lc, ls, rho = theta
     vp = VarianceParams(
         sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho
     )
-    label = classify(vp, opts.tolerances)
     return FitResult(
         params=vp,
-        classification=label,
+        classification=classify(vp, opts.tolerances),
         log_rl=float(-value + 0.5 * pieces.logdet_xtx),
-        converged=converged,
+        converged=_kkt_holds(theta, grad, opts.lambda_max),
         n_evals=n_evals,
         boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, opts.tolerances),
         beta=beta,
     )
+
+
+_GRAD_TOL = 1e-6  # converged: largest free |d(-log_rl)/d theta|
+_NEWTON_STEPS = 8
+_FD_STEP = 1e-5  # central-difference step, relative to the coordinate
+
+
+def _free_coords(theta, lam_max):
+    """Coordinates of theta that are not held by a bound.
+
+    rho is free only with both lambdas positive: on a zero-variance facet
+    it is unidentified.
+    """
+    lc, ls, rho = theta
+    free = [j for j in (0, 1) if 0.0 < theta[j] < lam_max]
+    if lc > 0.0 and ls > 0.0 and -1.0 < rho < 1.0:
+        free.append(2)
+    return free
+
+
+def _snap(theta, tol):
+    """theta moved onto the boundary that its classification names.
+
+    A lambda with lambda^2 <= tol.variance_ratio becomes 0, and with it rho,
+    which is unidentified on a zero-variance facet; otherwise
+    |rho| >= 1 - tol.rho becomes +/-1.
+    """
+    lc, ls, rho = theta
+    lc = lc if lc * lc > tol.variance_ratio else 0.0
+    ls = ls if ls * ls > tol.variance_ratio else 0.0
+    if lc == 0.0 or ls == 0.0:
+        rho = 0.0
+    elif abs(rho) >= 1.0 - tol.rho:
+        rho = math.copysign(1.0, rho)
+    return (lc, ls, rho)
+
+
+def _kkt_holds(theta, grad, lam_max):
+    """Box optimality test of theta for the gradient grad of -log_rl."""
+    free = _free_coords(theta, lam_max)
+    if any(abs(grad[j]) > _GRAD_TOL for j in free):
+        return False
+    # a coordinate held at its upper bound (lambda_max, rho = 1) or at
+    # rho = -1 can only move inward, so -log_rl must not fall inward
+    lc, ls, rho = theta
+    if any(theta[j] >= lam_max and grad[j] > _GRAD_TOL for j in (0, 1)):
+        return False
+    if lc > 0.0 and ls > 0.0 and abs(rho) == 1.0:
+        return bool(rho * grad[2] <= _GRAD_TOL)
+    return True
+
+
+def _newton_finish(pieces, theta, value, lam_max):
+    """Projected Newton steps on the analytic gradient of the winner.
+
+    Each step solves for the free coordinates of theta, with the Jacobian
+    taken as the symmetrised central difference of the analytic gradient,
+    and projects the result onto the box (a lambda that reaches 0 puts the
+    fit on a zero-variance facet, where rho is set to 0).  A step is taken
+    only if that Jacobian is positive definite (so no step heads for a
+    saddle), it does not raise the objective beyond rounding, and it lowers
+    the largest free gradient component.  Returns
+    (theta, value, gradient, n_calls).
+    """
+    grad = pieces.gradient(theta)
+    calls = 1
+    free = _free_coords(theta, lam_max)
+    worst = max((abs(grad[j]) for j in free), default=0.0)
+    for _ in range(_NEWTON_STEPS):
+        if worst == 0.0:
+            break
+        jac = np.empty((len(free), len(free)))
+        for col, j in enumerate(free):
+            h = _FD_STEP * theta[j] if j < 2 else min(_FD_STEP, 0.5 * (1.0 - abs(theta[j])))
+            up, down = list(theta), list(theta)
+            up[j] += h
+            down[j] -= h
+            jac[:, col] = (pieces.gradient(up)[free] - pieces.gradient(down)[free]) / (2.0 * h)
+            calls += 2
+        hess = 0.5 * (jac + jac.T)
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            break
+        trial = list(theta)
+        for j, d in zip(free, np.linalg.solve(hess, -grad[free])):
+            trial[j] += float(d)
+        lc, ls = (min(max(v, 0.0), lam_max) for v in trial[:2])
+        trial = (lc, ls, min(max(trial[2], -1.0), 1.0) if lc * ls > 0.0 else 0.0)
+        trial_value = pieces.value(trial)
+        calls += 1
+        if not trial_value <= value + 1e-12 * abs(value):
+            break
+        trial_free = _free_coords(trial, lam_max)
+        trial_grad = pieces.gradient(trial)
+        calls += 1
+        trial_worst = max((abs(trial_grad[j]) for j in trial_free), default=0.0)
+        if not trial_worst < worst:
+            break
+        theta, value, grad, free, worst = trial, trial_value, trial_grad, trial_free, trial_worst
+    return theta, value, grad, calls
 
 
 def _general_moment_start(data, opts):
@@ -692,23 +884,17 @@ def _general_moment_start(data, opts):
 def eblups(fit, data):
     """Empirical BLUPs of the per-cluster intercept/slope deviations.
 
-    u_i = Sigma_hat H_i' V_i^{-1} (y_i - X_i beta_hat), evaluated through the
-    relative-covariance identity u_i = Sigma_rel (I + C_i Sigma_rel)^{-1}
-    H_i' r_i.  When Sigma_hat is singular the BLUPs lie in its column space
-    by construction.
+    u_i = Sigma_hat H_i' V_i^{-1} (y_i - X_i beta_hat), evaluated from the
+    per-cluster pieces as u_i = S_i (H_i'y_i - G_i beta_hat) with
+    S_i = Sigma_rel (I + C_i Sigma_rel)^{-1}.  When Sigma_hat is singular the
+    BLUPs lie in its column space by construction.
 
     Returns:
         Array of shape (n_clusters, 2).
     """
     vp = fit.params
-    sig_rel = vp.sigma_matrix() / vp.sigma2_e
-    out = np.empty((data.n_clusters, 2))
-    for i, c in enumerate(data.clusters):
-        H = np.column_stack([np.ones_like(c.x), c.x])
-        r = c.y - c.X @ fit.beta
-        A = np.eye(2) + (H.T @ H) @ sig_rel
-        out[i] = sig_rel @ np.linalg.solve(A, H.T @ r)
-    return out
+    theta = (math.sqrt(vp.sigma2_c / vp.sigma2_e), math.sqrt(vp.sigma2_s / vp.sigma2_e), vp.rho)
+    return _GeneralPieces(data).eblups(theta, fit.beta)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from remlab import (Classification, DataError, DesignSpec, FixedEffects,
                     GeneralCluster, GeneralDataset, VarianceParams, eblups,
                     fit_balanced, fit_general, log_rl_dense_oracle,
                     read_general_csv, simulate)
+from remlab.reml_core import _GeneralPieces
 
 
 def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
@@ -26,6 +27,97 @@ def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
         X = np.column_stack([np.ones_like(x), x])
         clusters.append(GeneralCluster(x=x, X=X, y=y))
     return GeneralDataset(clusters=tuple(clusters))
+
+
+def with_extra_column(data, seed):
+    """data with a third fixed effect, as ``--fixed-spec`` adds one."""
+    rng = np.random.default_rng(seed)
+    return GeneralDataset(clusters=tuple(
+        GeneralCluster(x=c.x, X=np.column_stack([c.X, rng.normal(size=len(c.x))]),
+                       y=c.y)
+        for c in data.clusters))
+
+
+def theta_of(vp):
+    """(lambda_c, lambda_s, rho) of fitted variance parameters."""
+    return (math.sqrt(vp.sigma2_c / vp.sigma2_e),
+            math.sqrt(vp.sigma2_s / vp.sigma2_e), vp.rho)
+
+
+def slope(fn, theta, j, h):
+    """d fn / d theta_j by Richardson-extrapolated central differences."""
+    def central(step):
+        up, down = list(theta), list(theta)
+        up[j] += step
+        down[j] -= step
+        return (fn(up) - fn(down)) / (2.0 * step)
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def inward_slope(fn, theta, h=1e-5):
+    """d fn / d rho at rho = +/-1, one-sided from inside the box."""
+    s = theta[2]
+    at = [fn((theta[0], theta[1], s - s * k * h)) for k in (0, 1, 2)]
+    return s * (3.0 * at[0] - 4.0 * at[1] + at[2]) / (2.0 * h)
+
+
+# near rho = +/-1, near lambda = 0, and in the interior
+THETAS = [(0.5, 0.8, 0.999), (0.5, 0.8, -0.999), (1e-3, 0.6, 0.2),
+          (0.9, 1e-3, -0.5), (0.7, 0.4, -0.3), (1.3, 0.2, 0.6)]
+
+
+class TestObjective:
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gradient_matches_central_differences(self, p):
+        data = unbalanced_dataset(seed=17)
+        if p == 3:
+            data = with_extra_column(data, 5)
+        assert min(len(c.x) for c in data.clusters) == 1
+        pieces = _GeneralPieces(data)
+        rng = np.random.default_rng(3)
+        thetas = THETAS + [(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0),
+                            rng.uniform(-0.95, 0.95)) for _ in range(4)]
+        for theta in thetas:
+            grad = pieces.gradient(theta)
+            fd = np.array([slope(pieces.value, theta, j, 1e-4)
+                           for j in range(3)])
+            np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                       atol=1e-6 * np.abs(fd).max())
+
+    def test_value_matches_dense_oracle(self):
+        data = with_extra_column(unbalanced_dataset(seed=17, n_clusters=12), 5)
+        pieces = _GeneralPieces(data)
+        for theta in THETAS:
+            _, s2e = pieces.gls(theta)
+            lc, ls, rho = theta
+            vp = VarianceParams(s2e, lc * lc * s2e, ls * ls * s2e, rho)
+            np.testing.assert_allclose(
+                -pieces.value(theta) + 0.5 * pieces.logdet_xtx,
+                log_rl_dense_oracle(data, vp) + 0.5 * pieces.logdet_xtx,
+                rtol=1e-11)
+
+    @pytest.mark.parametrize("seed", [5, 11, 31])
+    def test_converged_reports_the_optimality_test(self, seed):
+        # converged must say whether the returned theta passes the box
+        # optimality test; on seed 31 the search stops on the rho = -1
+        # facet although -log_rl falls inward, so it is False there
+        data = unbalanced_dataset(seed=seed)
+        fit = fit_general(data)
+        pieces = _GeneralPieces(data)
+        theta = theta_of(fit.params)
+        violation = 0.0
+        if min(theta[:2]) > 0.0 and abs(theta[2]) == 1.0:
+            violation = max(0.0, theta[2] * inward_slope(pieces.value, theta))
+        free = [j for j in (0, 1) if theta[j] > 0.0]
+        if min(theta[:2]) > 0.0 and abs(theta[2]) < 1.0:
+            free.append(2)
+        for j in free:
+            violation = max(violation,
+                            abs(slope(pieces.value, theta, j, 1e-5)))
+        if fit.converged:
+            assert violation <= 1e-7
+        else:
+            assert violation >= 1e-5
 
 
 class TestGeneralDataset:

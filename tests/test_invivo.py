@@ -9,8 +9,9 @@ import pytest
 from remlab import (Classification, HmoDataset, fit_hmo, ingest_hmo,
                     make_surrogate, phi_sweep, write_hmo_csv)
 from remlab.errors import DataError
-from remlab.invivo import default_phi_grid, write_sweep_csv
-from remlab.reml_core import fit_general
+from remlab.invivo import (default_phi_grid, inflated_datasets,
+                           write_sweep_csv)
+from remlab.reml_core import GeneralDataset, _GeneralPieces, fit_general
 
 
 @pytest.fixture(scope="module")
@@ -148,21 +149,49 @@ class TestFit:
         assert via.classification is direct.classification
 
     def test_frozen_baseline_fit(self, surrogate):
+        # the exact maximiser, from a 60-digit Newton solve on the same data
         fit = fit_hmo(surrogate)
         assert fit.classification is Classification.GOOD
         np.testing.assert_allclose(
-            fit.beta, [180.6632956401233, -2.636414165338705,
-                       5.842035674732753, 15.584522356942555], rtol=1e-8)
+            fit.beta, [180.66329686984187, -2.6364144244971690,
+                       5.8420356511486042, 15.584522819967132], rtol=1e-8)
         p = fit.params
-        np.testing.assert_allclose(p.sigma2_e, 481.53469174999043, rtol=1e-8)
-        np.testing.assert_allclose(p.sigma2_c, 112.60113756148796, rtol=1e-8)
-        np.testing.assert_allclose(p.sigma2_s, 46.849658921240085, rtol=1e-8)
-        np.testing.assert_allclose(p.rho, 0.052886936738680924, rtol=1e-6)
-        np.testing.assert_allclose(fit.log_rl, -1237.9891705796351,
+        np.testing.assert_allclose(p.sigma2_e, 481.53474231349727, rtol=1e-8)
+        np.testing.assert_allclose(p.sigma2_c, 112.60096886668750, rtol=1e-8)
+        np.testing.assert_allclose(p.sigma2_s, 46.849668077426787, rtol=1e-8)
+        np.testing.assert_allclose(p.rho, 0.052887448749396334, rtol=1e-6)
+        np.testing.assert_allclose(fit.log_rl, -1237.9891705796423,
                                    rtol=1e-12)
 
 
+    def test_cluster_order_does_not_move_the_fit(self, surrogate):
+        gen = surrogate.to_general()
+        order = np.random.default_rng(0).permutation(gen.n_clusters)
+        a = fit_general(gen)
+        b = fit_general(GeneralDataset(tuple(gen.clusters[i] for i in order)))
+        np.testing.assert_allclose(
+            [b.params.sigma2_e, b.params.sigma2_c, b.params.sigma2_s,
+             b.params.rho, b.log_rl, *b.beta],
+            [a.params.sigma2_e, a.params.sigma2_c, a.params.sigma2_s,
+             a.params.rho, a.log_rl, *a.beta], rtol=1e-9)
+
+
 class TestPhiSweep:
+    def test_facet_fit_solves_its_gradient(self, surrogate):
+        # phi = 2 lands on rho = +1: the fit solves the gradient in both
+        # lambdas there, and -log_rl falls toward rho = +1
+        [(phi, data)] = inflated_datasets(surrogate, [2.0])
+        fit = fit_general(data)
+        assert fit.classification is Classification.RHO_PLUS_ONE
+        assert fit.converged
+        p = fit.params
+        grad = _GeneralPieces(data).gradient(
+            (math.sqrt(p.sigma2_c / p.sigma2_e),
+             math.sqrt(p.sigma2_s / p.sigma2_e), p.rho))
+        assert max(abs(grad[0]), abs(grad[1])) <= 1e-8
+        assert grad[2] < 0.0
+
+
     def test_default_grid(self):
         grid = default_phi_grid()
         assert grid[0] == 1.0 and grid[-1] == 2.5

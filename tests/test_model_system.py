@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remlab import (DataError, DesignSpec, FixedEffects, VarianceParams,
+from remlab import (DataError, DegenerateDataError, DesignSpec, FixedEffects,
+                    VarianceParams,
                     build_h, derive_seed, experiment_catalog, factorial_grid,
                     fit_balanced, moment_q, read_dataset_csv, simulate,
                     simulate_stats, sufficient_stats, write_dataset_csv)
@@ -230,6 +231,21 @@ class TestSufficientStats:
         b = sufficient_stats(flipped)
         np.testing.assert_allclose(a.rss, b.rss, rtol=1e-12)
         np.testing.assert_allclose(a.t_outer, b.t_outer, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [2, 14, 27])
+    def test_noise_free_rss_is_exactly_zero(self, seed):
+        # the three sums cancel to +6e-14 or +1.1e-13 here, not to 0
+        flat = simulate(DesignSpec(30, 5), FixedEffects(1.0, 2.0),
+                        VarianceParams(0.0, 1.0, 1.0, 0.2), seed)
+        assert sufficient_stats(flat).rss == 0.0
+        with pytest.raises(DegenerateDataError):
+            fit_balanced(flat)
+
+    def test_small_real_noise_is_kept(self):
+        data = simulate(DesignSpec(30, 5), FixedEffects(1.0, 2.0),
+                        VarianceParams(1e-10, 1.0, 1.0, 0.2), 2)
+        np.testing.assert_allclose(sufficient_stats(data).rss / 1e-10,
+                                   90.0, rtol=0.5)
 
     def test_t_outer_psd(self, medium_stats):
         eigs = np.linalg.eigvalsh(medium_stats.t_outer)
