@@ -636,11 +636,12 @@ class _GeneralPieces:
         )
 
     def gls(self, theta):
-        """GLS fixed effects and profiled sigma2_e at theta."""
+        """(X'V^-1X)^-1, the GLS fixed effects and the GLS rss at theta."""
         p = self.p
         m = self._gls_matrix(self._s(theta)[1])
-        beta = np.linalg.solve(m[:p, :p], m[:p, p])
-        return beta, float(m[p, p] - m[:p, p] @ beta) / self.dof
+        xvx_inv = np.linalg.inv(m[:p, :p])
+        beta = xvx_inv @ m[:p, p]
+        return xvx_inv, beta, float(m[p, p] - m[:p, p] @ beta)
 
     def eblups(self, theta, beta):
         """u_k = S_k (H_k'y_k - G_k beta) for every cluster, shape (k, 2)."""
@@ -662,10 +663,7 @@ class _GeneralPieces:
         """
         lc, ls, rho = theta
         p = self.p
-        m = self._gls_matrix(self._s(theta)[1])
-        xvx_inv = np.linalg.inv(m[:p, :p])
-        beta = xvx_inv @ m[:p, p]
-        rss = float(m[p, p] - m[:p, p] @ beta)
+        xvx_inv, beta, rss = self.gls(theta)
         sig = np.array([[lc * lc, rho * lc * ls], [rho * lc * ls, ls * ls]])
         a_inv = np.linalg.inv(np.eye(2) + self.c @ sig)
         left = a_inv @ self.z[:, :, :p]
@@ -725,7 +723,8 @@ def fit_general(data, options=None):
         n_evals += n_finish
         if _snap(theta, opts.tolerances) == theta:
             break
-    beta, s2e = pieces.gls(theta)
+    _, beta, rss = pieces.gls(theta)
+    s2e = rss / pieces.dof
     lc, ls, rho = theta
     vp = VarianceParams(
         sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho

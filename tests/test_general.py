@@ -88,7 +88,7 @@ class TestObjective:
         data = with_extra_column(unbalanced_dataset(seed=17, n_clusters=12), 5)
         pieces = _GeneralPieces(data)
         for theta in THETAS:
-            _, s2e = pieces.gls(theta)
+            s2e = pieces.gls(theta)[2] / pieces.dof
             lc, ls, rho = theta
             vp = VarianceParams(s2e, lc * lc * s2e, ls * ls * s2e, rho)
             np.testing.assert_allclose(
