@@ -163,7 +163,6 @@ class TestFit:
         np.testing.assert_allclose(fit.log_rl, -1237.9891705796423,
                                    rtol=1e-12)
 
-
     def test_cluster_order_does_not_move_the_fit(self, surrogate):
         gen = surrogate.to_general()
         order = np.random.default_rng(0).permutation(gen.n_clusters)
@@ -180,7 +179,7 @@ class TestPhiSweep:
     def test_facet_fit_solves_its_gradient(self, surrogate):
         # phi = 2 lands on rho = +1: the fit solves the gradient in both
         # lambdas there, and -log_rl falls toward rho = +1
-        [(phi, data)] = inflated_datasets(surrogate, [2.0])
+        [(_, data)] = inflated_datasets(surrogate, [2.0])
         fit = fit_general(data)
         assert fit.classification is Classification.RHO_PLUS_ONE
         assert fit.converged
@@ -190,7 +189,6 @@ class TestPhiSweep:
              math.sqrt(p.sigma2_s / p.sigma2_e), p.rho))
         assert max(abs(grad[0]), abs(grad[1])) <= 1e-8
         assert grad[2] < 0.0
-
 
     def test_default_grid(self):
         grid = default_phi_grid()

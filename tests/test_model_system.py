@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remlab import (DataError, DegenerateDataError, DesignSpec, FixedEffects,
-                    VarianceParams,
-                    build_h, derive_seed, experiment_catalog, factorial_grid,
-                    fit_balanced, moment_q, read_dataset_csv, simulate,
-                    simulate_stats, sufficient_stats, write_dataset_csv)
+                    VarianceParams, build_h, derive_seed, experiment_catalog,
+                    factorial_grid, fit_balanced, moment_q, read_dataset_csv,
+                    simulate, simulate_stats, sufficient_stats,
+                    write_dataset_csv)
 
 MASTER = 20260825
 
