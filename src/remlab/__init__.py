@@ -6,78 +6,59 @@ boundary of the parameter space (correlation at +/-1, a random-effect
 variance at zero), scores boundary risk with a closed-form predictor, and
 runs the Monte-Carlo experiments and the residual-inflation study that map
 out when boundary estimates occur.
+
+``import remlab`` is cheap: each public name below, and each submodule, is
+imported on first access (PEP 562), so a caller pays only for the modules
+it uses.  ``remlab fit``, for one, never loads the experiment pool.
 """
 
-from .errors import DataError, DegenerateDataError, EstimabilityError
-from .model_system import (
-    ClusteredDataset,
-    DesignSpec,
-    FixedEffects,
-    SuffStats,
-    VarianceParams,
-    build_h,
-    moment_q,
-    read_dataset_csv,
-    simulate,
-    simulate_stats,
-    sufficient_stats,
-    write_dataset_csv,
-)
-from .predictor import (
-    log10_predictor_minus_one,
-    log10_predictor_plus_one,
-    predictor_minus_one,
-    predictor_plus_one,
-    predictor_sweep,
-    profiled_rho_slope,
-)
-from .reml_core import (
-    Classification,
-    ClassifyTolerances,
-    FitOptions,
-    FitResult,
-    GeneralCluster,
-    GeneralDataset,
-    classify,
-    eblups,
-    fit_balanced,
-    fit_general,
-    log_restricted_likelihood,
-    log_rl_dense_oracle,
-    profile_sigma2_r,
-    profiled_log_rl,
-    profiled_rl_offset,
-    read_general_csv,
-)
-from .experiments import (
-    AnovaRow,
-    ExperimentSetting,
-    RepRecord,
-    SettingSummary,
-    VarianceMode,
-    anova_balanced,
-    derive_seed,
-    experiment_catalog,
-    factorial_grid,
-    interaction_plot_data,
-    ls_means,
-    run_replicate,
-    run_setting,
-    run_settings,
-    sign_test_plus_vs_minus,
-    summarize,
-    two_proportion_pvalue,
-    with_reps,
-)
-from .invivo import (
-    HmoDataset,
-    InvivoRow,
-    default_phi_grid,
-    fit_hmo,
-    ingest_hmo,
-    make_surrogate,
-    phi_sweep,
-    write_hmo_csv,
-)
+from importlib import import_module as _import_module
 
+# submodule -> the public names it provides at package level
+_EXPORTS = {
+    "errors": ("DataError", "DegenerateDataError", "EstimabilityError"),
+    "model_system": (
+        "ClusteredDataset", "DesignSpec", "FixedEffects", "SuffStats", "VarianceMode",
+        "VarianceParams", "build_h", "moment_q", "read_dataset_csv", "simulate",
+        "simulate_stats", "sufficient_stats", "write_dataset_csv",
+    ),
+    "predictor": (
+        "log10_predictor_minus_one", "log10_predictor_plus_one", "predictor_minus_one",
+        "predictor_plus_one", "predictor_sweep", "profiled_rho_slope",
+    ),
+    "reml_core": (
+        "Classification", "ClassifyTolerances", "FitOptions", "FitResult", "GeneralCluster",
+        "GeneralDataset", "classify", "eblups", "fit_balanced", "fit_general",
+        "log_restricted_likelihood", "log_rl_dense_oracle", "profile_sigma2_r",
+        "profiled_log_rl", "profiled_rl_offset", "read_general_csv",
+    ),
+    "experiments": (
+        "AnovaRow", "ExperimentSetting", "RepRecord", "SettingSummary", "anova_balanced",
+        "derive_seed", "experiment_catalog", "factorial_grid", "interaction_plot_data",
+        "ls_means", "run_replicate", "run_setting", "run_settings", "sign_test_plus_vs_minus",
+        "summarize", "two_proportion_pvalue", "with_reps",
+    ),
+    "invivo": (
+        "HmoDataset", "InvivoRow", "default_phi_grid", "fit_hmo", "ingest_hmo",
+        "make_surrogate", "phi_sweep", "write_hmo_csv",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, *_EXPORTS]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,15 +21,14 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DataError
-from .model_system import (DesignSpec, FixedEffects, VarianceParams,
-                           read_dataset_csv, simulate, write_dataset_csv)
-from .predictor import (log10_predictor_minus_one, log10_predictor_plus_one,
-                        predictor_minus_one, predictor_plus_one,
-                        predictor_sweep, write_sweep_csv)
-from .reml_core import (ClassifyTolerances, FitOptions, fit_balanced,
-                        fit_general, read_general_csv)
-from . import experiments as _ex
-from . import invivo as _iv
+from .model_system import (ClusteredDataset, DesignSpec, FixedEffects,
+                           VarianceMode, VarianceParams, parse_dataset_rows,
+                           simulate, write_dataset_csv)
+from .reml_core import (ClassifyTolerances, FitOptions, GeneralDataset,
+                        fit_balanced, fit_general)
+
+# predictor, experiments and invivo are imported by the subcommands that use
+# them: a `fit` process then never loads the experiment pool.
 
 
 class UsageError(Exception):
@@ -146,6 +145,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_predictor(args) -> int:
+    from .predictor import (log10_predictor_minus_one, log10_predictor_plus_one,
+                            predictor_minus_one, predictor_plus_one)
+
     n, s = args.N, args.s
     if s % 2 == 0 or s < 3:
         raise UsageError("--s must be odd and >= 3")
@@ -194,17 +196,18 @@ def _cmd_fit(args) -> int:
             fixed_columns = tuple(spec["columns"])
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise DataError(f"bad fixed-effects spec: {exc}") from exc
+    rows = parse_dataset_rows(args.data)
     data = None
     if not fixed_columns:
         try:
-            data = read_dataset_csv(args.data)
+            data = ClusteredDataset.from_rows(rows)
         except DataError:
-            pass  # not balanced; the general reader reports bad input
+            pass  # not balanced; the general engine takes the same rows
     if data is not None:
         fit = fit_balanced(data, options)
         engine = "balanced"
     else:
-        gen = read_general_csv(args.data, fixed_columns=fixed_columns)
+        gen = GeneralDataset.from_rows(rows, fixed_columns)
         fit = fit_general(gen, options)
         engine = "general"
     fit.write_json(args.out)
@@ -225,6 +228,9 @@ _EXPERIMENT_NAMES = ("A", "B", "C", "D", "E", "F", "G",
 
 
 def _cmd_experiment(args) -> int:
+    from . import experiments as _ex
+    from .predictor import predictor_sweep, write_sweep_csv
+
     cfg = _config_from_args(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     name = args.name
@@ -279,17 +285,19 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _variance_mode(args) -> _ex.VarianceMode:
+def _variance_mode(args) -> VarianceMode:
     raw = args.variance_mode or "fix_random_effects"
     try:
-        return _ex.VarianceMode(raw)
+        return VarianceMode(raw)
     except ValueError:
         raise UsageError(
             f"--variance-mode must be one of "
-            f"{[m.value for m in _ex.VarianceMode]}") from None
+            f"{[m.value for m in VarianceMode]}") from None
 
 
 def _cmd_invivo(args) -> int:
+    from . import invivo as _iv
+
     cfg = _config_from_args(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
     if (args.data is None) == (not args.surrogate):
@@ -321,6 +329,8 @@ def _cmd_invivo(args) -> int:
 
 
 def _cmd_anova(args) -> int:
+    from . import experiments as _ex
+
     factors = [f.strip() for f in args.factors.split(",") if f.strip()]
     if not factors:
         raise UsageError("--factors must name at least one column")
@@ -413,7 +423,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scale", type=float, default=None,
                    help="factorial grid subsampling factor")
     p.add_argument("--variance-mode", default=None,
-                   choices=[m.value for m in _ex.VarianceMode])
+                   choices=[m.value for m in VarianceMode])
     _add_common(p)
     p.set_defaults(func=_cmd_experiment)
 

@@ -15,7 +15,6 @@ are pure reductions over the sorted replicate records.
 from __future__ import annotations
 
 import csv
-import enum
 import hashlib
 import math
 from collections import Counter
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EstimabilityError
-from .model_system import DesignSpec, VarianceParams, simulate_stats
+from .model_system import DesignSpec, VarianceMode, VarianceParams, simulate_stats
 from .predictor import predictor_minus_one, predictor_plus_one
 from .reml_core import Classification, FitOptions, fit_balanced
 
@@ -33,20 +32,6 @@ from .reml_core import Classification, FitOptions, fit_balanced
 # ---------------------------------------------------------------------------
 # Setting and record types
 # ---------------------------------------------------------------------------
-
-class VarianceMode(str, enum.Enum):
-    """How the error/random-effect variance ratio r is realized.
-
-    FIX_RANDOM_EFFECTS: sigma2_c = sigma2_s = 1 and sigma2_e = r.
-    FIX_ERROR: sigma2_e = 1 and sigma2_c = sigma2_s = 1/r.
-
-    Both modes generate data with the same ratio r; estimates differ only
-    by an overall scale, so outcome percentages are comparable.
-    """
-
-    FIX_RANDOM_EFFECTS = "fix_random_effects"
-    FIX_ERROR = "fix_error"
-
 
 @dataclass(frozen=True)
 class ExperimentSetting:

@@ -30,6 +30,8 @@ verification, which recomputes every replicate's statistics from
 from __future__ import annotations
 
 import csv
+import enum
+import io
 import math
 from dataclasses import dataclass
 
@@ -43,6 +45,7 @@ __all__ = [
     "VarianceParams",
     "ClusteredDataset",
     "SuffStats",
+    "VarianceMode",
     "build_h",
     "moment_q",
     "simulate",
@@ -181,6 +184,20 @@ class VarianceParams:
         )
 
 
+class VarianceMode(str, enum.Enum):
+    """How the error/random-effect variance ratio r is realized.
+
+    FIX_RANDOM_EFFECTS: sigma2_c = sigma2_s = 1 and sigma2_e = r.
+    FIX_ERROR: sigma2_e = 1 and sigma2_c = sigma2_s = 1/r.
+
+    Both modes generate data with the same ratio r; estimates differ only
+    by an overall scale, so outcome percentages are comparable.
+    """
+
+    FIX_RANDOM_EFFECTS = "fix_random_effects"
+    FIX_ERROR = "fix_error"
+
+
 # ---------------------------------------------------------------------------
 # Datasets
 # ---------------------------------------------------------------------------
@@ -205,6 +222,34 @@ class ClusteredDataset:
     @property
     def x(self):
         return self.design.h
+
+    @classmethod
+    def from_rows(cls, rows):
+        """The balanced dataset in a parsed CSV (see ``parse_dataset_rows``).
+
+        Every cluster must have the same odd size s >= 3, j = 1..s, and x
+        values matching the shared grid to 1e-9; anything else raises
+        DataError naming the first cluster, in file order, that fails.
+        """
+        path = rows.path
+        sizes = np.diff(rows.bounds)
+        if sizes.min() != sizes.max():
+            raise DataError(f"{path}: clusters have unequal sizes {sorted(set(sizes.tolist()))}")
+        s = int(sizes[0])
+        if s < 3 or s % 2 == 0:
+            raise DataError(f"{path}: cluster size must be odd and >= 3, got {s}")
+        h = build_h(s)
+        n = len(rows.ids)
+        bad_j = (rows.j.reshape(n, s) != np.arange(1, s + 1)).any(axis=1)
+        bad_x = np.abs(rows.x.reshape(n, s) - h).max(axis=1) > 1e-9
+        bad = np.flatnonzero(bad_j | bad_x)
+        if bad.size:
+            k = bad[0]
+            if bad_j[k]:
+                raise DataError(f"{path}: cluster {rows.ids[k]} must have j = 1..{s}")
+            raise DataError(f"{path}: cluster {rows.ids[k]} regressor differs from the shared grid")
+        # a copy, so the dataset does not keep the parse buffer (x, extras) alive
+        return cls(design=DesignSpec(n_clusters=n, cluster_size=s), y=rows.y.reshape(n, s).copy())
 
 
 def _draw(design, seed):
@@ -354,15 +399,105 @@ def write_dataset_csv(data, path):
                 writer.writerow([i + 1, j + 1, repr(float(h[j])), repr(float(data.y[i, j]))])
 
 
-def parse_dataset_rows(path):
-    """Parse a dataset CSV into per-cluster row lists.
+class DatasetRows:
+    """A dataset CSV held as columns, each cluster's rows contiguous.
 
-    Returns (fieldnames, clusters) where clusters is an ordered mapping from
-    cluster id to its list of row dicts (values parsed to float except the
-    cluster and j columns).  Raises DataError with the offending line number
-    for malformed content.  Extra columns beyond (cluster, j, x, y) are
-    carried through untouched so callers can bind them to fixed effects.
+    Clusters keep the order in which they first appear in the file.  Cluster
+    ``ids[k]`` owns rows ``bounds[k]:bounds[k + 1]`` of ``j`` and of every
+    row of ``values`` (one per column name, x and y first), sorted by j; the
+    sort is stable, so rows that share a j keep their file order.
     """
+
+    def __init__(self, path, ids, sizes, j, names, values):
+        self.path = path
+        self.ids = ids  # cluster ids, ints in order of first appearance
+        self.bounds = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.bounds[1:])
+        self.j = j  # (n,) int64
+        self.names = tuple(names)  # ("x", "y", *extra columns in header order)
+        self.values = values  # (len(names), n) floats
+
+    @property
+    def x(self):
+        return self.values[0]
+
+    @property
+    def y(self):
+        return self.values[1]
+
+    @property
+    def extra(self):
+        return self.names[2:]
+
+    def column(self, name):
+        return self.values[self.names.index(name)]
+
+
+_I64 = np.iinfo(np.int64)
+# The bytes a body may hold for the one-pass parse.  On these, numpy reads a
+# field exactly as int() and float() do; it would not on others (it skips
+# \x1c-\x1f as space, where float() rejects them), so they take the row loop.
+_PLAIN = b"0123456789+-.eE, \t\n"
+
+
+def parse_dataset_rows(path):
+    """Parse a dataset CSV into columns grouped by cluster (a ``DatasetRows``).
+
+    The required columns are cluster, j, x and y, in any order; further
+    columns are carried through as floats so callers can bind them to fixed
+    effects.
+
+    A plainly formatted file (ASCII, unquoted, every row as long as the
+    header, integer cluster and j, finite floats) is parsed in one numpy
+    pass, grouped with ``np.unique`` and ``np.lexsort``.  numpy accepts a
+    field there only where ``int()`` and ``float()`` read it to the same
+    value.  Every other file, malformed ones included, goes to the csv row
+    loop, which raises DataError with the offending line number.  The two
+    paths return the same ``DatasetRows`` for any file both accept.
+    """
+    rows = _parse_plain(path)
+    return rows if rows is not None else _parse_row_loop(path)
+
+
+def _parse_plain(path):
+    """The one-pass parse, or None to leave the file to the row loop."""
+    try:
+        with open(path) as fh:  # universal newlines end rows where csv does
+            text = fh.read()
+    except (OSError, ValueError):
+        return None
+    header, _, body = text.partition("\n")
+    names = header.split(",")
+    if (not text.isascii() or '"' in header or len(set(names)) != len(names)
+            or not set(_HEADER) <= set(names) or not body.strip("\n")
+            or body.encode("ascii").translate(None, _PLAIN)):
+        return None
+    field = {n: f"f{k}" for k, n in enumerate(names)}  # header names may not be valid
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                           dtype=[(field[n], "i8" if n in ("cluster", "j") else "f8")
+                                  for n in names])
+    except ValueError:
+        return None
+    floats = ["x", "y", *(n for n in names if n not in _HEADER)]
+    if not all(np.isfinite(table[field[n]]).all() for n in floats):
+        return None
+    j = table[field["j"]]
+    uniq, first, inverse = np.unique(table[field["cluster"]], return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    pos = rank[inverse]
+    perm = np.lexsort((j, pos))
+    values = np.empty((len(floats), perm.size))
+    for row, n in zip(values, floats):
+        np.take(table[field[n]], perm, out=row)
+    return DatasetRows(path, uniq[order].tolist(), np.bincount(pos), j[perm], floats, values)
+
+
+def _parse_row_loop(path):
+    """Row-by-row parse; the source of every malformed-row DataError."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -374,47 +509,33 @@ def parse_dataset_rows(path):
         missing = [c for c in _HEADER if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing required columns {missing}")
-        extra = [c for c in reader.fieldnames if c not in _HEADER]
-        clusters: dict[int, list[dict]] = {}
+        floats = ["x", "y", *(c for c in reader.fieldnames if c not in _HEADER)]
+        clusters: dict[int, list] = {}
         for lineno, row in enumerate(reader, start=2):
             try:
                 cid = int(row["cluster"])
                 j = int(row["j"])
-                parsed = {"j": j, "x": float(row["x"]), "y": float(row["y"])}
-                for c in extra:
-                    parsed[c] = float(row[c])
+                vals = [float(row[c]) for c in floats]
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            if not all(math.isfinite(parsed[k]) for k in parsed if k != "j"):
+            if not all(map(math.isfinite, vals)):
                 raise DataError(f"{path}:{lineno}: non-finite value")
-            clusters.setdefault(cid, []).append(parsed)
+            clusters.setdefault(cid, []).append((j, vals))
         if not clusters:
             raise DataError(f"{path}: no data rows")
-    return extra, clusters
+    flat = [r for rows in clusters.values() for r in sorted(rows, key=lambda r: r[0])]
+    # a j outside int64 never equals 1..s; clamping keeps the order just made
+    j = np.array([min(max(r[0], _I64.min), _I64.max) for r in flat], dtype=np.int64)
+    values = np.array([r[1] for r in flat]).T.copy()
+    return DatasetRows(path, list(clusters), [len(rows) for rows in clusters.values()], j,
+                       floats, values)
 
 
 def read_dataset_csv(path):
     """Read a balanced dataset written by ``write_dataset_csv``.
 
-    Every cluster must have the same odd size s >= 3 and x values matching
+    One ``parse_dataset_rows`` pass, then ``ClusteredDataset.from_rows``:
+    every cluster must have the same odd size s >= 3 and x values matching
     the shared grid to 1e-9; anything else raises DataError.
     """
-    extra, clusters = parse_dataset_rows(path)
-    sizes = {len(rows) for rows in clusters.values()}
-    if len(sizes) != 1:
-        raise DataError(f"{path}: clusters have unequal sizes {sorted(sizes)}")
-    s = sizes.pop()
-    if s < 3 or s % 2 == 0:
-        raise DataError(f"{path}: cluster size must be odd and >= 3, got {s}")
-    h = build_h(s)
-    n = len(clusters)
-    y = np.empty((n, s))
-    for i, (cid, rows) in enumerate(clusters.items()):
-        rows = sorted(rows, key=lambda r: r["j"])
-        if [r["j"] for r in rows] != list(range(1, s + 1)):
-            raise DataError(f"{path}: cluster {cid} must have j = 1..{s}")
-        xs = np.array([r["x"] for r in rows])
-        if np.max(np.abs(xs - h)) > 1e-9:
-            raise DataError(f"{path}: cluster {cid} regressor differs from the shared grid")
-        y[i] = [r["y"] for r in rows]
-    return ClusteredDataset(design=DesignSpec(n_clusters=n, cluster_size=s), y=y)
+    return ClusteredDataset.from_rows(parse_dataset_rows(path))

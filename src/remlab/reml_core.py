@@ -539,6 +539,23 @@ class GeneralDataset:
         return len(self.clusters)
 
     @classmethod
+    def from_rows(cls, rows, fixed_columns=()):
+        """The dataset in a parsed CSV (see ``read_general_csv``)."""
+        missing = [c for c in fixed_columns if c not in rows.extra]
+        if missing:
+            raise DataError(f"{rows.path}: fixed-effect columns not present: {missing}")
+        fixed = [rows.column(c) for c in fixed_columns]
+        clusters = []
+        for a, b in zip(rows.bounds[:-1], rows.bounds[1:]):
+            x = rows.x[a:b].copy()
+            X = np.column_stack([np.ones(b - a), x, *(col[a:b] for col in fixed)])
+            clusters.append(GeneralCluster(x=x, X=X, y=rows.y[a:b].copy()))
+        try:
+            return cls(clusters=tuple(clusters))
+        except ValueError as exc:
+            raise DataError(f"{rows.path}: {exc}") from exc
+
+    @classmethod
     def from_balanced(cls, data):
         """View a balanced dataset as a general one (fixed effects [1, x])."""
         h = data.design.h
@@ -956,19 +973,4 @@ def read_general_csv(path, fixed_columns=()):
     Fixed effects are [1, x] plus any named extra columns, in that order.
     Cluster sizes may differ and x is unconstrained.
     """
-    extra, clusters = parse_dataset_rows(path)
-    missing = [c for c in fixed_columns if c not in extra]
-    if missing:
-        raise DataError(f"{path}: fixed-effect columns not present: {missing}")
-    built = []
-    for cid, rows in clusters.items():
-        rows = sorted(rows, key=lambda r: r["j"])
-        x = np.array([r["x"] for r in rows])
-        y = np.array([r["y"] for r in rows])
-        cols = [np.ones(len(rows)), x]
-        cols += [np.array([r[c] for r in rows]) for c in fixed_columns]
-        built.append(GeneralCluster(x=x, X=np.column_stack(cols), y=y))
-    try:
-        return GeneralDataset(clusters=tuple(built))
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    return GeneralDataset.from_rows(parse_dataset_rows(path), fixed_columns)
