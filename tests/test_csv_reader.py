@@ -85,6 +85,8 @@ CASES = {
     "even_size": csv_text("1,1,-1.0,0.5", "1,2,1.0,1.5", "2,1,-1.0,3.0", "2,2,1.0,4.0"),
     "duplicate_j": csv_text(*edited(r5="2,2,1.0,5.5")),
     "off_grid": csv_text(*edited(r4="2,2,0.5,4.0")),
+    "off_grid_by_1e-6": csv_text(*edited(r4="2,2,1e-06,4.0")),
+    "on_grid_within_1e-9": csv_text(*edited(r4="2,2,1e-10,4.0")),
     "one_cluster": csv_text(*ROWS[:3]),
 }
 
@@ -160,6 +162,9 @@ EXPECTED = {
     "duplicate_j": (fails("PATH: cluster 2 must have j = 1..3"), GENERAL),
     "off_grid": (fails("PATH: cluster 2 regressor differs from the shared grid"),
                  [GENERAL[0], ([-1.0, 0.5, 1.0], Y[1])]),
+    "off_grid_by_1e-6": (fails("PATH: cluster 2 regressor differs from the shared grid"),
+                         [GENERAL[0], ([-1.0, 1e-06, 1.0], Y[1])]),
+    "on_grid_within_1e-9": (Y, [GENERAL[0], ([-1.0, 1e-10, 1.0], Y[1])]),
     "one_cluster": (fails("n_clusters must be an integer >= 2, got 1", "ValueError"),
                     fails("PATH: need at least two clusters")),
 }
@@ -169,7 +174,8 @@ ONE_PASS = {
     "plain", "no_final_newline", "columns_reordered", "crlf", "lone_cr", "blank_lines",
     "id_plus", "id_leading_space", "id_int64_min", "tab_padding", "y_underflows_to_zero",
     "y_long_mantissa", "shuffled", "interleaved", "extra_column", "unequal_sizes",
-    "even_size", "duplicate_j", "off_grid", "one_cluster",
+    "even_size", "duplicate_j", "off_grid", "off_grid_by_1e-6", "on_grid_within_1e-9",
+    "one_cluster",
 }
 
 
