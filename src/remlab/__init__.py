@@ -7,9 +7,10 @@ variance at zero), scores boundary risk with a closed-form predictor, and
 runs the Monte-Carlo experiments and the residual-inflation study that map
 out when boundary estimates occur.
 
-``import remlab`` is cheap: each public name below, and each submodule, is
-imported on first access (PEP 562), so a caller pays only for the modules
-it uses.  ``remlab fit``, for one, never loads the experiment pool.
+``import remlab`` is cheap: each public name listed below, and each
+submodule, is imported on first access (PEP 562), so a caller pays only for
+the modules it uses.  ``remlab fit``, for one, never loads the experiment
+pool.
 """
 
 from importlib import import_module as _import_module
