@@ -25,7 +25,7 @@ _EXPORTS = {
     ),
     "predictor": (
         "log10_predictor_minus_one", "log10_predictor_plus_one", "predictor_minus_one",
-        "predictor_plus_one", "predictor_sweep", "profiled_rho_slope",
+        "predictor_plus_one", "predictor_sweep",
     ),
     "reml_core": (
         "Classification", "ClassifyTolerances", "FitOptions", "FitResult", "GeneralCluster",

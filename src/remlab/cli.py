@@ -54,14 +54,13 @@ class RunConfig:
     reps: int | None = None
     rho_tol: float | None = None
     var_ratio_tol: float | None = None
-    lambda_max: float | None = None
 
     def validate(self) -> None:
         if self.parallelism < 1:
             raise UsageError("--parallelism must be >= 1")
         if self.reps is not None and self.reps < 1:
             raise UsageError("--reps must be >= 1")
-        for name in ("rho_tol", "var_ratio_tol", "lambda_max"):
+        for name in ("rho_tol", "var_ratio_tol"):
             v = getattr(self, name)
             if v is not None and not (v > 0):
                 raise UsageError(f"--{name.replace('_', '-')} must be > 0")
@@ -70,16 +69,13 @@ class RunConfig:
         tol = {name: v for name, v in (("rho", self.rho_tol),
                                        ("variance_ratio", self.var_ratio_tol))
                if v is not None}
-        kwargs = {"tolerances": ClassifyTolerances(**tol)} if tol else {}
-        if self.lambda_max is not None:
-            kwargs["lambda_max"] = self.lambda_max
-        return FitOptions(**kwargs) if kwargs else None
+        return FitOptions(tolerances=ClassifyTolerances(**tol)) if tol else None
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     for dest in ("master_seed", "parallelism", "out_dir", "reps", "rho_tol",
-                 "var_ratio_tol", "lambda_max"):
+                 "var_ratio_tol"):
         v = getattr(args, dest, None)
         if v is not None:
             setattr(cfg, dest, v)
@@ -123,18 +119,18 @@ def _apply_config_file(args) -> None:
                 raise DataError(f"config line {lineno}: {exc}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, fits: bool = False) -> None:
+    """The shared flags; fits adds the tolerances that label a fit."""
     p.add_argument("--seed", dest="master_seed", type=int, default=None,
                    help="master seed (default 20260825)")
     p.add_argument("--parallelism", type=int, default=None,
                    help="worker processes (default 1)")
     p.add_argument("--out-dir", default=None, help="output directory")
-    p.add_argument("--rho-tol", type=float, default=None,
-                   help="boundary classification tolerance on rho")
-    p.add_argument("--var-ratio-tol", type=float, default=None,
-                   help="zero-variance threshold on sigma2_x/sigma2_e")
-    p.add_argument("--lambda-max", type=float, default=None,
-                   help="general-engine search bound on sigma_x/sigma_e")
+    if fits:
+        p.add_argument("--rho-tol", type=float, default=None,
+                       help="boundary classification tolerance on rho")
+        p.add_argument("--var-ratio-tol", type=float, default=None,
+                       help="zero-variance threshold on sigma2_x/sigma2_e")
     p.add_argument("--config", default=None,
                    help="KEY=VALUE config file; flags win over file values")
     p.set_defaults(config_parser=p)
@@ -306,14 +302,14 @@ def _cmd_invivo(args) -> int:
         data = _iv.ingest_hmo(args.data)
     else:
         data = _iv.make_surrogate()
-    start = 1.0 if args.phi_start is None else args.phi_start
-    end = 2.5 if args.phi_end is None else args.phi_end
-    step = 0.1 if args.phi_step is None else args.phi_step
-    if end < start or step <= 0:
-        raise UsageError("bad phi range")
-    n_steps = int(round((end - start) / step))
-    phis = [round(start + k * step, 10) for k in range(n_steps + 1)]
-    phis = [p for p in phis if p <= end + 1e-12]
+    grid = {name: v for name, v in (("start", args.phi_start),
+                                    ("end", args.phi_end),
+                                    ("step", args.phi_step))
+            if v is not None}
+    try:
+        phis = _iv.default_phi_grid(**grid)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     rows = _iv.phi_sweep(data, phis, cfg.fit_options())
     out = args.out or os.path.join(cfg.out_dir, "invivo_sweep.csv")
     _iv.write_sweep_csv(rows, out, data.source)
@@ -412,7 +408,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fixed-spec", default=None,
                    help='JSON {"columns": [...]} of extra fixed-effect '
                         'columns; naming any selects the general engine')
-    _add_common(p)
+    _add_common(p, fits=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("experiment", help="run a cataloged experiment")
@@ -432,13 +428,14 @@ def build_parser() -> _Parser:
     p.add_argument("--surrogate", action="store_true",
                    help="use the built-in synthetic dataset")
     p.add_argument("--phi-start", type=float, default=None,
-                   help="first inflation factor (default 1.0)")
+                   help="first inflation factor (default: the standard "
+                        "grid's, see remlab.invivo.default_phi_grid)")
     p.add_argument("--phi-end", type=float, default=None,
-                   help="last inflation factor (default 2.5)")
+                   help="last inflation factor (default: the standard grid's)")
     p.add_argument("--phi-step", type=float, default=None,
-                   help="inflation factor step (default 0.1)")
+                   help="inflation factor step (default: the standard grid's)")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_common(p, fits=True)
     p.set_defaults(func=_cmd_invivo)
 
     p = sub.add_parser("anova", help="mean squares for a results table")

@@ -288,9 +288,19 @@ def fit_hmo(data: HmoDataset,
     return fit_general(data.to_general(), options)
 
 
-def default_phi_grid() -> list[float]:
-    """The standard sweep grid: 1.0 to 2.5 in steps of 0.1."""
-    return [round(1.0 + 0.1 * k, 10) for k in range(16)]
+def default_phi_grid(start: float = 1.0, end: float = 3.0,
+                     step: float = 0.1) -> list[float]:
+    """The sweep grid start, start + step, ..., end.
+
+    The standard grid, 1.0 to 3.0 in steps of 0.1, reaches past both
+    crossings on the surrogate: GOOD -> RHO_PLUS_ONE at phi ~ 1.899 and
+    RHO_PLUS_ONE -> ZERO_VARIANCE at phi ~ 2.626.
+    """
+    if end < start or step <= 0:
+        raise ValueError("bad phi range")
+    n_steps = int(round((end - start) / step))
+    phis = [round(start + k * step, 10) for k in range(n_steps + 1)]
+    return [p for p in phis if p <= end + 1e-12]
 
 
 def inflated_datasets(data: HmoDataset, phis,

@@ -26,8 +26,6 @@ import csv
 
 import numpy as np
 
-from .reml_core import profiled_log_rl
-
 __all__ = [
     "predictor_minus_one",
     "predictor_plus_one",
@@ -35,7 +33,6 @@ __all__ = [
     "log10_predictor_plus_one",
     "predictor_sweep",
     "write_sweep_csv",
-    "profiled_rho_slope",
     "DEFAULT_SWEEP_GRIDS",
 ]
 
@@ -120,27 +117,6 @@ def log10_predictor_plus_one(n_clusters, cluster_size, rho, r, as_printed=False)
     n, s, rho, r = _validate_arrays(n_clusters, cluster_size, rho, r)
     out = _log10_core(n, s, -rho, r, as_printed)
     return float(out) if np.ndim(out) == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Boundary-slope diagnostic
-# ---------------------------------------------------------------------------
-
-
-def profiled_rho_slope(ss, r, boundary=-1.0, step=1e-6):
-    """Inward one-sided slope of the profiled log restricted likelihood.
-
-    Numerically differentiates ``profiled_log_rl`` in rho at rho = -1 or +1
-    for observed data.  A negative slope at -1 (positive at +1, looking
-    inward) certifies the boundary as a local maximiser along rho; the
-    closed-form score above approximates the expectation of this quantity,
-    and this diagnostic is the ground truth to arbitrate against.
-    """
-    if boundary not in (-1.0, 1.0):
-        raise ValueError("boundary must be -1.0 or +1.0")
-    if boundary == -1.0:
-        return (profiled_log_rl(ss, r, -1.0 + step) - profiled_log_rl(ss, r, -1.0)) / step
-    return (profiled_log_rl(ss, r, 1.0) - profiled_log_rl(ss, r, 1.0 - step)) / step
 
 
 # ---------------------------------------------------------------------------

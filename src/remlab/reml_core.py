@@ -13,16 +13,14 @@ log_rl, and the GLS fixed effects ``beta`` from the general engine only):
   algebra on length-k arrays, one matrix-vector product and one Cholesky
   factorisation of a (p+1)x(p+1) matrix (see ``_GeneralPieces``).
 
-The general engine searches theta = (lambda_c, lambda_s, rho), the random-
-effect standard deviations *relative to the error standard deviation* and
-their correlation; the error variance then has a closed-form profile.  The
-feasible region is a box, and candidate maximisers on every boundary facet
-(rho = -1, rho = +1, lambda_c = 0, lambda_s = 0, both lambdas 0) are solved
-separately so boundary solutions are exact rather than merely nearby.  The
-winning candidate is finished by Newton steps on the analytic gradient of
-the objective over its free coordinates, so the returned optimum does not
-depend on the search path or on the order of the clusters, and
-``FitResult.converged`` reports whether the box optimality test holds there.
+The general engine searches the relative Cholesky factor L of
+Sigma_rel = LL', the random-effect covariance relative to the error
+variance; the error variance then has a closed-form profile.  Every L gives
+a positive semidefinite Sigma_rel, so one unbounded Newton search covers
+the closed parameter space, with rho = +/-1 and zero variances as ordinary
+points, and a search on the rank-1 facet finishes fits that end there.
+``FitResult.converged`` reports an optimality certificate in Sigma space,
+so a fit that stops short of the maximiser is flagged also on a boundary.
 
 With a random-effect variance at zero the correlation is unidentified, so
 ``FitResult.rho_hat`` reports it as NaN on a ZERO_VARIANCE fit.
@@ -37,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optimize import golden_section, nelder_mead
 from .errors import DataError, DegenerateDataError
 from .model_system import (
     ClusteredDataset,
@@ -219,16 +216,12 @@ def classify(vp, tol=ClassifyTolerances()):
 class FitOptions:
     """Controls for the restricted-likelihood maximisers.
 
-    lambda_max bounds the search box of ``fit_general`` (bounded Nelder-Mead
-    from five deterministic starts, a golden-section polish, then an exact
-    solve on each boundary facet, and a Newton finish on the winner);
-    ``fit_balanced`` is exact and ignores it.  tolerances label the
-    maximiser for both engines, and ``fit_general`` reports a fit that they
-    call a boundary exactly on that boundary.  allow_degenerate lets
-    ``fit_balanced`` fit data with rss = 0 by flooring sigma2_e at 1e-12.
+    tolerances label the maximiser for both engines, and ``fit_general``
+    reports a fit that they call a boundary exactly on that boundary.
+    allow_degenerate lets ``fit_balanced`` fit data with rss = 0 by flooring
+    sigma2_e at 1e-12.
     """
 
-    lambda_max: float = 1e3  # search-box bound on sigma_c/sigma_e and sigma_s/sigma_e
     tolerances: ClassifyTolerances = field(default_factory=ClassifyTolerances)
     allow_degenerate: bool = False
 
@@ -299,98 +292,6 @@ class FitResult:
     def read_json(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-# ---------------------------------------------------------------------------
-# Optimisation driver of the general engine
-# ---------------------------------------------------------------------------
-
-
-def _multistart_maximize(neg, mom, opts):
-    """Maximise -neg over the (lambda_c, lambda_s, rho) box.
-
-    neg must be finite everywhere on the box.  Returns (candidates, n_evals):
-    a list of (theta, neg_value) pairs, the polished interior search first,
-    then the rho = -1 and rho = +1 facets, the lambda_c = 0 and lambda_s = 0
-    facets and the zero corner.  Boundary coordinates of a facet candidate
-    are exact.
-    """
-    lam_max = opts.lambda_max
-    bounds3 = [(0.0, lam_max), (0.0, lam_max), (-1.0, 1.0)]
-    lc0, ls0, rho0 = mom
-    total_evals = 0
-
-    def lam_box(v):
-        return max(v / 4.0, 0.0), min(4.0 * v + 0.05, lam_max)
-
-    lc_lo, lc_hi = lam_box(lc0)
-    ls_lo, ls_hi = lam_box(ls0)
-    rho_lo, rho_hi = max(-0.95, rho0 - 0.6), min(0.95, rho0 + 0.6)
-    # half-fraction of the start-box corners plus its centre
-    starts = [
-        (lc0, ls0, rho0),
-        (lc_lo, ls_lo, rho_lo),
-        (lc_hi, ls_hi, rho_lo),
-        (lc_lo, ls_hi, rho_hi),
-        (lc_hi, ls_lo, rho_hi),
-    ]
-
-    best_x, best_f = None, math.inf
-    for x0 in starts:
-        x, f, _, ev = nelder_mead(neg, x0, bounds3)
-        total_evals += ev
-        if f < best_f:
-            best_x, best_f = x, f
-
-    def polish(x, f, dims, bounds):
-        nonlocal total_evals
-        x = list(x)
-        for _ in range(2):
-            for k in dims:
-                lo, hi = bounds[k]
-
-                def along(v, _k=k):
-                    xx = list(x)
-                    xx[_k] = v
-                    return neg(tuple(xx))
-
-                xk, fk, ev = golden_section(along, lo, hi, xatol=1e-10)
-                total_evals += ev
-                if fk < f:
-                    x[k], f = xk, fk
-        return tuple(x), f
-
-    best_x, best_f = polish(best_x, best_f, (0, 1, 2), bounds3)
-    candidates = [(best_x, best_f)]
-
-    # correlation facets: rho pinned, 2-D search over the lambdas
-    for rho_fix in (-1.0, 1.0):
-        def neg2(lam, _r=rho_fix):
-            return neg((lam[0], lam[1], _r))
-
-        x2, f2, _, ev = nelder_mead(neg2, (best_x[0], best_x[1]), bounds3[:2])
-        total_evals += ev
-        candidates.append(polish((x2[0], x2[1], rho_fix), f2, (0, 1), bounds3))
-
-    # vanished-variance facets: rho is unidentified there, reported as 0
-    def neg_ls(v):
-        return neg((0.0, v, 0.0))
-
-    xs, fs, ev = golden_section(neg_ls, 0.0, lam_max, xatol=1e-10)
-    total_evals += ev
-    candidates.append(((0.0, xs, 0.0), fs))
-
-    def neg_lc(v):
-        return neg((v, 0.0, 0.0))
-
-    xc, fc, ev = golden_section(neg_lc, 0.0, lam_max, xatol=1e-10)
-    total_evals += ev
-    candidates.append(((xc, 0.0, 0.0), fc))
-
-    f0 = neg((0.0, 0.0, 0.0))
-    total_evals += 1
-    candidates.append(((0.0, 0.0, 0.0), f0))
-    return candidates, total_evals
 
 
 def _boundary_variance_tag(lc2, ls2, tol):
@@ -570,9 +471,11 @@ class GeneralDataset:
 class _GeneralPieces:
     """Per-cluster cross-products reused at every objective evaluation.
 
-    With H_k = [1, x] and the relative covariance Sigma = [[a, b], [b, c]]
-    of theta = (lambda_c, lambda_s, rho), V_k / sigma2_e = I + H_k Sigma H_k'
-    has inverse I - H_k S_k H_k' with S_k = Sigma (I + C_k Sigma)^-1 and
+    The relative covariance is Sigma = LL' = [[a, b], [b, c]] with the
+    Cholesky factor L = [[l11, 0], [l21, l22]], passed as l = (l11, l21, l22);
+    the methods that take theta = (lambda_c, lambda_s, rho) convert it with
+    ``_chol``.  With H_k = [1, x], V_k / sigma2_e = I + H_k Sigma H_k' has
+    inverse I - H_k S_k H_k' with S_k = Sigma (I + C_k Sigma)^-1 and
     C_k = H_k'H_k.  In closed form S_k = (Sigma + det(Sigma) adj(C_k)) / d_k
     with d_k = det(I + C_k Sigma), so S_k is exactly symmetric, and d_k and
     the numerators of (S00, 2 S01, S11) are linear in (1, a, 2b, c, det
@@ -599,6 +502,8 @@ class _GeneralPieces:
 
         c00, c01, c11 = sizes.astype(float), np.add.reduceat(x, starts), np.add.reduceat(x * x, starts)
         self.c = np.stack([[c00, c01], [c01, c11]]).transpose(2, 0, 1)
+        self.c_sum = self.c.sum(axis=0)
+        self.csc = _sym_products(self.c[:, :, 0], self.c[:, :, 1])
         one, zero = np.ones(k), np.zeros(k)
         self.lin = np.block([
             [one, zero, zero, zero],
@@ -610,37 +515,26 @@ class _GeneralPieces:
 
         z0, z1 = np.add.reduceat(xy, starts), np.add.reduceat(x[:, None] * xy, starts)
         self.z = np.stack([z0, z1], axis=1)  # (k, 2, p + 1)
-        self.W = np.stack([
-            z0[:, :, None] * z0[:, None, :],
-            0.5 * (z0[:, :, None] * z1[:, None, :] + z1[:, :, None] * z0[:, None, :]),
-            z1[:, :, None] * z1[:, None, :],
-        ]).reshape(3 * k, (p + 1) * (p + 1))
+        self.W = _sym_products(z0, z1)
         self.base = xy.T @ xy
         xtx = self.base[:p, :p]
         if np.linalg.matrix_rank(xtx) < p:
             raise DataError("fixed-effect design is rank deficient")
         _, self.logdet_xtx = np.linalg.slogdet(xtx)
 
-    def _s(self, theta):
+    def _s(self, l):
         """d_k = det(I + C_k Sigma) and the weights (S00, 2 S01, S11), shape (3, k)."""
-        lc, ls, rho = theta
-        det_sig = (lc * ls) ** 2 * (1.0 - rho * rho)
-        out = np.array([1.0, lc * lc, 2.0 * rho * lc * ls, ls * ls, det_sig]) @ self.lin
+        l11, l21, l22 = l
+        coef = np.array([1.0, l11 * l11, 2.0 * l11 * l21, l21 * l21 + l22 * l22, (l11 * l22) ** 2])
+        out = coef @ self.lin
         det = out[: self.k]
         return det, out[self.k :].reshape(3, self.k) / det
 
     def _gls_matrix(self, w):
         return self.base - (w.reshape(-1) @ self.W).reshape(self.p + 1, self.p + 1)
 
-    def value(self, theta):
-        """Negative profiled log restricted likelihood at theta, up to a constant.
-
-        0.5 dof (log(rss/dof) + 1) + 0.5 sum_k log d_k + 0.5 log det X'V^-1X,
-        or 1e30 where the profile is numerically unusable: some d_k <= 0, or
-        an augmented GLS matrix that is not positive definite (singular
-        X'V^-1X or no GLS residual).
-        """
-        det, w = self._s(theta)
+    def _value(self, l):
+        det, w = self._s(l)
         if not det.min() > 0:
             return 1e30
         try:
@@ -652,45 +546,70 @@ class _GeneralPieces:
             self.dof * log_piv[-1] + self.offset + 0.5 * np.log(det).sum() + log_piv[:-1].sum()
         )
 
-    def gls(self, theta):
-        """(X'V^-1X)^-1, the GLS fixed effects and the GLS rss at theta."""
+    def value(self, theta):
+        """Negative profiled log restricted likelihood at theta, up to a constant.
+
+        0.5 dof (log(rss/dof) + 1) + 0.5 sum_k log d_k + 0.5 log det X'V^-1X,
+        or 1e30 where the profile is numerically unusable: some d_k <= 0, or
+        an augmented GLS matrix that is not positive definite (singular
+        X'V^-1X or no GLS residual).
+        """
+        return self._value(_chol(theta))
+
+    def _gls(self, w):
         p = self.p
-        m = self._gls_matrix(self._s(theta)[1])
+        m = self._gls_matrix(w)
         xvx_inv = np.linalg.inv(m[:p, :p])
         beta = xvx_inv @ m[:p, p]
         return xvx_inv, beta, float(m[p, p] - m[:p, p] @ beta)
 
+    def gls(self, theta):
+        """(X'V^-1X)^-1, the GLS fixed effects and the GLS rss at theta."""
+        return self._gls(self._s(_chol(theta))[1])
+
     def eblups(self, theta, beta):
         """u_k = S_k (H_k'y_k - G_k beta) for every cluster, shape (k, 2)."""
-        w = self._s(theta)[1]
+        w = self._s(_chol(theta))[1]
         r0, r1 = (self.z @ np.append(-beta, 1.0)).T
         return np.column_stack([w[0] * r0 + 0.5 * w[1] * r1, 0.5 * w[1] * r0 + w[2] * r1])
+
+    def sigma_gradient(self, l):
+        """The symmetric M with d value = tr(M dSigma) at Sigma = LL'.
+
+        With A_k = I + C_k Sigma, G_k = H_k'X_k and r_k = H_k'(y_k - X_k beta),
+        2 M is (Lindstrom & Bates 1988, JASA 83:1014)
+            sum_k A_k^-1 C_k                                  (log det V)
+            - sum_k A_k^-1 G_k (X'V^-1X)^-1 G_k' A_k^-T       (log det X'V^-1X)
+            - dof / rss * sum_k (A_k^-1 r_k)(A_k^-1 r_k)'      (profiled rss)
+        and A_k^-1 = I - C_k S_k, so no inverse is formed per cluster:
+        sum_k C_k S_k C_k is one product with ``csc``, as the GLS matrix is
+        with ``W``.  The gradient in l is the lower triangle of 2 M L.
+        """
+        p = self.p
+        w = self._s(l)[1]
+        xvx_inv, beta, rss = self._gls(w)
+        s00, s01, s11 = w[0, :, None], 0.5 * w[1, :, None], w[2, :, None]
+        z0, z1 = self.z[:, 0], self.z[:, 1]
+        sz0, sz1 = s00 * z0 + s01 * z1, s01 * z0 + s11 * z1
+        c00, c01, c11 = self.c[:, 0, :1], self.c[:, 0, 1:], self.c[:, 1, 1:]
+        az = np.stack([z0 - c00 * sz0 - c01 * sz1, z1 - c01 * sz0 - c11 * sz1])  # A_k^-1 Z_k
+        ag, u = az[:, :, :p], az @ np.append(-beta, 1.0)
+        mat = 0.5 * (
+            self.c_sum
+            - (w.reshape(-1) @ self.csc).reshape(2, 2)
+            - (ag @ xvx_inv).reshape(2, -1) @ ag.reshape(2, -1).T
+            - self.dof / rss * (u @ u.T)
+        )
+        return 0.5 * (mat + mat.T)
 
     def gradient(self, theta):
         """Analytic gradient of ``value`` in theta = (lambda_c, lambda_s, rho).
 
-        With A_k = I + C_k Sigma, G_k = H_k'X_k and r_k = H_k'(y_k - X_k beta),
-        d value = tr(M dSigma) for symmetric dSigma (Lindstrom & Bates 1988,
-        JASA 83:1014), where 2 M is
-            sum_k A_k^-1 C_k                                  (log det V)
-            - sum_k A_k^-1 G_k (X'V^-1X)^-1 G_k' A_k^-T       (log det X'V^-1X)
-            - dof / rss * sum_k (A_k^-1 r_k)(A_k^-1 r_k)'      (profiled rss)
-        The chain rule through Sigma = [[lc^2, rho lc ls], [., ls^2]] then
-        gives the three partial derivatives.
+        The chain rule through Sigma = [[lc^2, rho lc ls], [., ls^2]] applied
+        to ``sigma_gradient``.
         """
         lc, ls, rho = theta
-        p = self.p
-        xvx_inv, beta, rss = self.gls(theta)
-        sig = np.array([[lc * lc, rho * lc * ls], [rho * lc * ls, ls * ls]])
-        a_inv = np.linalg.inv(np.eye(2) + self.c @ sig)
-        left = a_inv @ self.z[:, :, :p]
-        u = a_inv @ (self.z @ np.append(-beta, 1.0))[:, :, None]
-        mat = 0.5 * (
-            (a_inv @ self.c).sum(axis=0)
-            - (left @ xvx_inv @ left.transpose(0, 2, 1)).sum(axis=0)
-            - self.dof / rss * (u @ u.transpose(0, 2, 1)).sum(axis=0)
-        )
-        m00, m01, m11 = mat[0, 0], 0.5 * (mat[0, 1] + mat[1, 0]), mat[1, 1]
+        (m00, m01), (_, m11) = self.sigma_gradient(_chol(theta))
         return np.array([
             2.0 * (m00 * lc + m01 * rho * ls),
             2.0 * (m11 * ls + m01 * rho * lc),
@@ -698,23 +617,42 @@ class _GeneralPieces:
         ])
 
 
+def _sym_products(a, b):
+    """The flattened a a', (a b' + b a') / 2 and b b' of each row pair, shape (3k, d*d)."""
+    return np.stack([
+        a[:, :, None] * a[:, None, :],
+        0.5 * (a[:, :, None] * b[:, None, :] + b[:, :, None] * a[:, None, :]),
+        b[:, :, None] * b[:, None, :],
+    ]).reshape(3 * len(a), -1)
+
+
+def _chol(theta):
+    """The Cholesky entries (l11, l21, l22) of theta = (lambda_c, lambda_s, rho)."""
+    lc, ls, rho = theta
+    return lc, rho * ls, ls * math.sqrt(max(1.0 - rho * rho, 0.0))
+
+
+def _theta(l):
+    """theta of the Cholesky entries l; rho is 0 where a lambda is 0 (unidentified)."""
+    l11, l21, l22 = l
+    lc, ls = abs(l11), math.hypot(l21, l22)
+    return lc, ls, math.copysign(1.0, l11) * l21 / ls if lc > 0.0 and ls > 0.0 else 0.0
+
+
 def fit_general(data, options=None):
     """Maximise the restricted likelihood of an unbalanced dataset.
 
-    The multistart search of ``_multistart_maximize`` picks the winning
-    candidate; ``_newton_finish`` then solves the analytic gradient on the
-    winner's free coordinates.  A lambda or rho that the tolerances call a
-    boundary is first set onto it (``_snap``), and the finish runs there.
+    The search runs in the relative Cholesky factor L of Sigma_rel = LL', as
+    lme4 does (Bates, Maechler, Bolker & Walker 2015, J. Stat. Softw. 67(1)):
+    every L gives a positive semidefinite Sigma_rel, so the search needs no
+    bounds and reaches rho = +/-1 and zero variances as ordinary points.
+    A modified Newton search (``_newton``) from the moment start is followed
+    by the same search on the rank-1 facet l22 = 0, and the better of the
+    two wins.  A lambda or rho that the tolerances call a boundary is then
+    set onto it (``_snap``).
 
-    converged means that the box optimality test holds at the returned
-    theta to ``_GRAD_TOL``: every free partial derivative of -log_rl in
-    theta is at most _GRAD_TOL in size, and at rho = +1 (-1) its rho
-    derivative is at most _GRAD_TOL (at least -_GRAD_TOL), so that -log_rl
-    does not fall inward.  On a lambda = 0 facet only the free coordinate
-    is checked: the lambda derivatives vanish identically there.  A fit
-    that is not converged is not a maximiser over the box: -log_rl falls
-    along some feasible direction from it.  n_evals counts objective and
-    gradient calls.
+    converged is the optimality certificate of ``_certified`` at the
+    returned point.  n_evals counts objective and gradient calls.
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
@@ -723,24 +661,18 @@ def fit_general(data, options=None):
     opts = options or FitOptions()
     pieces = _GeneralPieces(data)
 
-    mom = _general_moment_start(data, opts)
-    if not pieces.value(mom) < 1e30:
+    start = _chol(_general_moment_start(data))
+    if not pieces._value(start) < 1e30:
         raise DegenerateDataError("restricted likelihood is unusable at the starting point")
-
-    candidates, n_evals = _multistart_maximize(pieces.value, mom, opts)
-    theta, value = min(candidates, key=lambda c: c[1])
-    while True:
-        snapped = _snap(theta, opts.tolerances)
-        if snapped != theta:
-            theta, value = snapped, pieces.value(snapped)
-            n_evals += 1
-        if not value < 1e30:
-            raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
-        theta, value, grad, n_finish = _newton_finish(pieces, theta, value, opts.lambda_max)
-        n_evals += n_finish
-        if _snap(theta, opts.tolerances) == theta:
-            break
+    full, full_value, n_evals = _newton(pieces, start)
+    facet, facet_value, n_facet = _newton(pieces, full[:2])
+    n_evals += n_facet
+    theta = _snap(_theta(facet + (0.0,) if facet_value <= full_value else full), opts.tolerances)
+    value = pieces.value(theta)
+    if not value < 1e30:
+        raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
     _, beta, rss = pieces.gls(theta)
+    n_evals += 2
     s2e = rss / pieces.dof
     lc, ls, rho = theta
     vp = VarianceParams(
@@ -750,29 +682,40 @@ def fit_general(data, options=None):
         params=vp,
         classification=classify(vp, opts.tolerances),
         log_rl=float(-value + 0.5 * pieces.logdet_xtx),
-        converged=_kkt_holds(theta, grad, opts.lambda_max),
+        converged=_certified(pieces, theta),
         n_evals=n_evals,
         boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, opts.tolerances),
         beta=beta,
     )
 
 
-_GRAD_TOL = 1e-6  # converged: largest free |d(-log_rl)/d theta|
-_NEWTON_STEPS = 8
-_FD_STEP = 1e-5  # central-difference step, relative to the coordinate
+_LAMBDA_MAX = 1e3  # cap on sigma_c/sigma_e and sigma_s/sigma_e
+_CERT_TOL = 1e-6  # converged: the Sigma-space certificate to this tolerance
+_NEWTON_STEPS = 50
+_FD_STEP = 1e-6  # central-difference step, relative to the coordinate
+_FD_FLOOR = 1e-3  # smallest coordinate scale of that step
+_ROUND = 1e-13  # a change in value below this, relative, is rounding
+_STEP_FLOOR = 1e-12  # a step below this in every Cholesky entry is no step
 
 
-def _free_coords(theta, lam_max):
-    """Coordinates of theta that are not held by a bound.
+def _certified(pieces, theta):
+    """The optimality certificate over positive semidefinite Sigma_rel.
 
-    rho is free only with both lambdas positive: on a zero-variance facet
-    it is unidentified.
+    With d(-log_rl) = tr(M dSigma_rel), theta passes when M has no
+    eigenvalue below -_CERT_TOL and no entry of M Sigma_rel exceeds
+    _CERT_TOL in size.  That covers M = 0 at an interior fit, Ma = 0 with
+    b'Mb >= 0 at a rank-1 fit Sigma_rel = w aa', and M positive
+    semidefinite at the zero corner, where every theta-derivative vanishes.
+    A theta held at the lambda cap (_LAMBDA_MAX) does not pass.
     """
     lc, ls, rho = theta
-    free = [j for j in (0, 1) if 0.0 < theta[j] < lam_max]
-    if lc > 0.0 and ls > 0.0 and -1.0 < rho < 1.0:
-        free.append(2)
-    return free
+    m = pieces.sigma_gradient(_chol(theta))
+    sigma = np.array([[lc * lc, rho * lc * ls], [rho * lc * ls, ls * ls]])
+    return bool(
+        np.linalg.eigvalsh(m)[0] >= -_CERT_TOL
+        and np.abs(m @ sigma).max() <= _CERT_TOL
+        and max(lc, ls) < _LAMBDA_MAX
+    )
 
 
 def _snap(theta, tol):
@@ -792,74 +735,77 @@ def _snap(theta, tol):
     return (lc, ls, rho)
 
 
-def _kkt_holds(theta, grad, lam_max):
-    """Box optimality test of theta for the gradient grad of -log_rl."""
-    free = _free_coords(theta, lam_max)
-    if any(abs(grad[j]) > _GRAD_TOL for j in free):
-        return False
-    # a coordinate held at its upper bound (lambda_max, rho = 1) or at
-    # rho = -1 can only move inward, so -log_rl must not fall inward
-    lc, ls, rho = theta
-    if any(theta[j] >= lam_max and grad[j] > _GRAD_TOL for j in (0, 1)):
-        return False
-    if lc > 0.0 and ls > 0.0 and abs(rho) == 1.0:
-        return bool(rho * grad[2] <= _GRAD_TOL)
-    return True
+def _capped(x):
+    """x with lambda_c = |l11| and lambda_s = |(l21, l22)| held at _LAMBDA_MAX."""
+    x[0] = min(max(x[0], -_LAMBDA_MAX), _LAMBDA_MAX)
+    ls = math.hypot(*x[1:])
+    if ls > _LAMBDA_MAX:
+        x[1:] *= _LAMBDA_MAX / ls
+    return x
 
 
-def _newton_finish(pieces, theta, value, lam_max):
-    """Projected Newton steps on the analytic gradient of the winner.
+def _newton(pieces, x):
+    """Minimise ``value`` over the leading len(x) Cholesky entries, the rest at 0.
 
-    Each step solves for the free coordinates of theta, with the Jacobian
-    taken as the symmetrised central difference of the analytic gradient,
-    and projects the result onto the box (a lambda that reaches 0 puts the
-    fit on a zero-variance facet, where rho is set to 0).  A step is taken
-    only if that Jacobian is positive definite (so no step heads for a
-    saddle), it does not raise the objective beyond rounding, and it lowers
-    the largest free gradient component.  Returns
-    (theta, value, gradient, n_calls).
+    Modified Newton: the Hessian is the symmetrised central difference of the
+    analytic gradient, with each eigenvalue replaced by its absolute value,
+    so every step descends, also off a saddle.  A backtracking line search
+    takes the step.  The search runs to the gradient floor: it stops when a
+    step that lowers the value by no more than rounding is also below
+    _STEP_FLOOR or does not lower the largest gradient component, when the
+    line search finds no descent, or after _NEWTON_STEPS steps.  Returns
+    (x, value, n_calls).
     """
-    grad = pieces.gradient(theta)
-    calls = 1
-    free = _free_coords(theta, lam_max)
-    worst = max((abs(grad[j]) for j in free), default=0.0)
+    n = len(x)
+
+    def chol(v):
+        return tuple(v) + (0.0,) * (3 - n)
+
+    def grad(v):
+        l11, l21, l22 = l = chol(v)
+        (m00, m01), (_, m11) = pieces.sigma_gradient(l)
+        return 2.0 * np.array([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n]
+
+    x = np.array(x, dtype=float)
+    f, g = pieces._value(chol(x)), grad(x)
+    calls = 2
     for _ in range(_NEWTON_STEPS):
-        if worst == 0.0:
+        hess = np.empty((n, n))
+        for j, h in enumerate(_FD_STEP * np.maximum(np.abs(x), _FD_FLOOR)):
+            e = np.zeros(n)
+            e[j] = h
+            hess[:, j] = (grad(x + e) - grad(x - e)) / (2.0 * h)
+        calls += 2 * n
+        eig, vec = np.linalg.eigh(0.5 * (hess + hess.T))
+        eig = np.abs(eig)
+        if not eig.max() > 0.0:
             break
-        jac = np.empty((len(free), len(free)))
-        for col, j in enumerate(free):
-            h = _FD_STEP * theta[j] if j < 2 else min(_FD_STEP, 0.5 * (1.0 - abs(theta[j])))
-            up, down = list(theta), list(theta)
-            up[j] += h
-            down[j] -= h
-            jac[:, col] = (pieces.gradient(up)[free] - pieces.gradient(down)[free]) / (2.0 * h)
-            calls += 2
-        hess = 0.5 * (jac + jac.T)
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
+        step = -vec @ ((vec.T @ g) / np.maximum(eig, 1e-8 * eig.max()))
+        slope, t = float(g @ step), 1.0
+        while t >= 1e-10:
+            trial = _capped(x + t * step)
+            trial_value = pieces._value(chol(trial))
+            calls += 1
+            if trial_value <= f + 1e-4 * t * slope or (
+                t == 1.0 and trial_value <= f + _ROUND * abs(f)
+            ):
+                break
+            t *= 0.5
+        else:
             break
-        trial = list(theta)
-        for j, d in zip(free, np.linalg.solve(hess, -grad[free])):
-            trial[j] += float(d)
-        lc, ls = (min(max(v, 0.0), lam_max) for v in trial[:2])
-        trial = (lc, ls, min(max(trial[2], -1.0), 1.0) if lc * ls > 0.0 else 0.0)
-        trial_value = pieces.value(trial)
+        flat = trial_value > f - _ROUND * abs(f)
+        if flat and np.abs(trial - x).max() <= _STEP_FLOOR:
+            break
+        trial_grad = grad(trial)
         calls += 1
-        if not trial_value <= value + 1e-12 * abs(value):
+        if flat and np.abs(trial_grad).max() >= np.abs(g).max():
             break
-        trial_free = _free_coords(trial, lam_max)
-        trial_grad = pieces.gradient(trial)
-        calls += 1
-        trial_worst = max((abs(trial_grad[j]) for j in trial_free), default=0.0)
-        if not trial_worst < worst:
-            break
-        theta, value, grad, free, worst = trial, trial_value, trial_grad, trial_free, trial_worst
-    return theta, value, grad, calls
+        x, f, g = trial, trial_value, trial_grad
+    return tuple(x.tolist()), f, calls
 
 
-def _general_moment_start(data, opts):
-    """Rough moment-based starting point; the multistarts cover its misses."""
+def _general_moment_start(data):
+    """Rough moment-based starting point of the Newton search."""
     rss_sum, df_sum = 0.0, 0
     coefs = []
     for c in data.clusters:
@@ -892,8 +838,8 @@ def _general_moment_start(data, opts):
             rho0 = 0.0
     else:
         lc0, ls0, rho0 = 0.5, 0.5, 0.0
-    lc0 = min(max(lc0, 1e-3), 0.9 * opts.lambda_max)
-    ls0 = min(max(ls0, 1e-3), 0.9 * opts.lambda_max)
+    lc0 = min(max(lc0, 1e-3), 0.9 * _LAMBDA_MAX)
+    ls0 = min(max(ls0, 1e-3), 0.9 * _LAMBDA_MAX)
     return lc0, ls0, rho0
 
 

@@ -47,9 +47,16 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "experiment", "--help")
         assert code == 0
         for flag in ("--seed", "--parallelism", "--out-dir", "--reps",
-                     "--scale", "--variance-mode", "--config", "--rho-tol",
-                     "--var-ratio-tol", "--lambda-max"):
+                     "--scale", "--variance-mode", "--config"):
             assert flag in out
+
+    def test_experiment_rejects_fit_tolerances(self, capsys):
+        # experiments fit with the default tolerances, so the flags that
+        # would change them are not accepted there
+        code, _, err = run_cli(capsys, "experiment", "A", "--reps", "1",
+                               "--rho-tol", "0.9")
+        assert code == 1
+        assert "--rho-tol" in err
 
 
 class TestPredictorCommand:

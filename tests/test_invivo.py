@@ -192,14 +192,14 @@ class TestPhiSweep:
 
     def test_default_grid(self):
         grid = default_phi_grid()
-        assert grid[0] == 1.0 and grid[-1] == 2.5
-        assert len(grid) == 16
+        assert grid[0] == 1.0 and grid[-1] == 3.0
+        assert len(grid) == 21
         np.testing.assert_allclose(np.diff(grid), 0.1, rtol=1e-12)
 
     def test_three_point_sweep(self, surrogate):
         # phi = 1 reproduces the data, phi = 2 pins the correlation at +1,
-        # phi = 2.5 collapses a variance to zero (frozen behavior)
-        rows = phi_sweep(surrogate, phis=[1.0, 2.0, 2.5])
+        # phi = 2.8 collapses a variance to zero (frozen behavior)
+        rows = phi_sweep(surrogate, phis=[1.0, 2.0, 2.8])
         base = fit_hmo(surrogate)
 
         r1 = rows[0]
@@ -224,6 +224,16 @@ class TestPhiSweep:
         for r in rows[1:]:
             ratio = r.sigma2_e_over_phi2 / r1.sigma2_e
             assert abs(ratio - 1.0) < 0.03
+
+    def test_exact_labels_around_the_zero_variance_crossing(self, surrogate):
+        # the exact maximiser stays on rho = +1 up to phi ~ 2.626; each fit
+        # carries its certificate
+        phis = [2.4, 2.5, 2.6, 2.7]
+        fits = [fit_general(data)
+                for _, data in inflated_datasets(surrogate, phis)]
+        assert [f.classification for f in fits] == [
+            Classification.RHO_PLUS_ONE] * 3 + [Classification.ZERO_VARIANCE]
+        assert all(f.converged for f in fits)
 
     def test_phi_below_one_rejected(self, surrogate):
         with pytest.raises(ValueError, match="phi"):

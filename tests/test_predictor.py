@@ -8,11 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from remlab import (DesignSpec, FixedEffects, VarianceParams,
-                    log10_predictor_minus_one, log10_predictor_plus_one,
-                    predictor_minus_one,
-                    predictor_plus_one, predictor_sweep, profiled_rho_slope,
-                    simulate, sufficient_stats)
+from remlab import (log10_predictor_minus_one, log10_predictor_plus_one,
+                    predictor_minus_one, predictor_plus_one, predictor_sweep)
 from remlab.predictor import DEFAULT_SWEEP_GRIDS, write_sweep_csv
 
 
@@ -139,28 +136,6 @@ class TestProperties:
             assert base / 1.3 <= via_n <= base * 1.3
             via_s = predictor_minus_one(n, 3 * s, rho, r * bump)
             assert base / 1.3 <= via_s <= base * 1.3
-
-
-class TestRhoSlopeDiagnostic:
-    def test_frozen_values(self, ):
-        data = simulate(DesignSpec(50, 9), FixedEffects(0.0, 0.0),
-                        VarianceParams(10.0, 1.0, 1.0, -0.8), 7)
-        ss = sufficient_stats(data)
-        np.testing.assert_allclose(profiled_rho_slope(ss, 10.0, -1.0),
-                                   2.242860546175507, rtol=1e-6)
-        np.testing.assert_allclose(profiled_rho_slope(ss, 10.0, 1.0),
-                                   -14.337204220282729, rtol=1e-6)
-
-    def test_slope_signs_bracket_an_interior_maximum(self, medium_stats):
-        # positive inward slope at -1 and negative at +1 certify that the
-        # profiled likelihood rises away from both boundaries
-        r = 4.0
-        assert profiled_rho_slope(medium_stats, r, -1.0) > 0
-        assert profiled_rho_slope(medium_stats, r, 1.0) < 0
-
-    def test_boundary_argument_checked(self, medium_stats):
-        with pytest.raises(ValueError):
-            profiled_rho_slope(medium_stats, 1.0, 0.5)
 
 
 class TestPredictorSweep:

@@ -14,7 +14,6 @@ from remlab import (Classification, ClassifyTolerances, ClusteredDataset,
                     fit_general, log_restricted_likelihood, log_rl_dense_oracle,
                     profile_sigma2_r, profiled_log_rl, profiled_rl_offset,
                     simulate, sufficient_stats)
-from remlab._optimize import nelder_mead
 
 RNG = np.random.default_rng(20260825)
 MASTER = 20260825
@@ -299,6 +298,99 @@ def _replicate_data(setting, rep):
     return simulate(setting.design, FixedEffects(0.0, 0.0),
                     setting.variance_params,
                     derive_seed(MASTER, setting.id, rep))
+
+
+def nelder_mead(fn, x0, bounds, fatol=1e-10, xatol=1e-8, max_iter=None):
+    """Minimise fn over a box with the Nelder-Mead simplex.
+
+    Standard coefficients (reflect 1, expand 2, contract 1/2, shrink 1/2).
+    Terminates when the simplex is tight in both value (spread < fatol) and
+    position (spread < xatol), or after max_iter iterations.
+
+    Args:
+        fn: callable on a tuple of floats.
+        x0: start point, length d.
+        bounds: list of (lo, hi) pairs; candidates are clipped inside.
+        fatol: function-value spread tolerance.
+        xatol: coordinate spread tolerance.
+        max_iter: iteration cap; default 400 * d.
+
+    Returns:
+        (x_best, f_best, converged, n_evals)
+    """
+    d = len(x0)
+    if max_iter is None:
+        max_iter = 400 * d
+    lo = [b[0] for b in bounds]
+    hi = [b[1] for b in bounds]
+
+    def clip(x):
+        return tuple(min(max(x[k], lo[k]), hi[k]) for k in range(d))
+
+    evals = 0
+
+    def call(x):
+        nonlocal evals
+        evals += 1
+        return fn(x)
+
+    # initial simplex: perturb each coordinate by 5% of its box range
+    verts = [clip(tuple(x0))]
+    for k in range(d):
+        step = 0.05 * (hi[k] - lo[k])
+        x = list(verts[0])
+        x[k] = x[k] + step if x[k] + step <= hi[k] else x[k] - step
+        verts.append(clip(tuple(x)))
+    vals = [call(v) for v in verts]
+
+    converged = False
+    for _ in range(max_iter):
+        order = sorted(range(d + 1), key=lambda i: vals[i])
+        verts = [verts[i] for i in order]
+        vals = [vals[i] for i in order]
+
+        fspread = vals[-1] - vals[0]
+        xspread = max(
+            abs(verts[i][k] - verts[0][k]) for i in range(1, d + 1) for k in range(d)
+        )
+        if fspread < fatol and xspread < xatol:
+            converged = True
+            break
+
+        centroid = tuple(sum(verts[i][k] for i in range(d)) / d for k in range(d))
+        worst = verts[-1]
+        refl = clip(tuple(centroid[k] + (centroid[k] - worst[k]) for k in range(d)))
+        f_refl = call(refl)
+
+        if f_refl < vals[0]:
+            expa = clip(tuple(centroid[k] + 2.0 * (centroid[k] - worst[k]) for k in range(d)))
+            f_expa = call(expa)
+            if f_expa < f_refl:
+                verts[-1], vals[-1] = expa, f_expa
+            else:
+                verts[-1], vals[-1] = refl, f_refl
+        elif f_refl < vals[-2]:
+            verts[-1], vals[-1] = refl, f_refl
+        else:
+            if f_refl < vals[-1]:
+                base, f_base = refl, f_refl
+            else:
+                base, f_base = worst, vals[-1]
+            cont = clip(tuple(centroid[k] + 0.5 * (base[k] - centroid[k]) for k in range(d)))
+            f_cont = call(cont)
+            if f_cont < f_base:
+                verts[-1], vals[-1] = cont, f_cont
+            else:
+                # shrink toward the best vertex
+                best = verts[0]
+                for i in range(1, d + 1):
+                    verts[i] = clip(
+                        tuple(best[k] + 0.5 * (verts[i][k] - best[k]) for k in range(d))
+                    )
+                    vals[i] = call(verts[i])
+
+    order = sorted(range(d + 1), key=lambda i: vals[i])
+    return verts[order[0]], vals[order[0]], converged, evals
 
 
 def _search_best_log_rl(ss):
