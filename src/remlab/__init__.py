@@ -28,10 +28,10 @@ _EXPORTS = {
         "predictor_plus_one", "predictor_sweep",
     ),
     "reml_core": (
-        "Classification", "ClassifyTolerances", "FitOptions", "FitResult", "GeneralCluster",
-        "GeneralDataset", "classify", "eblups", "fit_balanced", "fit_general",
-        "log_restricted_likelihood", "log_rl_dense_oracle", "profile_sigma2_r",
-        "profiled_log_rl", "profiled_rl_offset", "read_general_csv",
+        "Classification", "ClassifyTolerances", "FitOptions", "FitResult", "GeneralDataset",
+        "classify", "eblups", "fit_balanced", "fit_general", "log_restricted_likelihood",
+        "log_rl_dense_oracle", "profile_sigma2_r", "profiled_log_rl", "profiled_rl_offset",
+        "read_general_csv",
     ),
     "experiments": (
         "AnovaRow", "ExperimentSetting", "RepRecord", "SettingSummary", "anova_balanced",

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError
 from .reml_core import (Classification, FitOptions, FitResult,
-                        GeneralCluster, GeneralDataset, eblups, fit_general)
+                        GeneralDataset, eblups, fit_general)
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +81,8 @@ class HmoDataset:
     @property
     def states(self) -> list:
         """State labels in order of first appearance."""
-        seen: dict = {}
-        for lab in self.state.tolist():
-            seen.setdefault(lab, None)
-        return list(seen)
+        _, first = np.unique(self.state, return_index=True)
+        return self.state[np.sort(first)].tolist()
 
     @property
     def n_states(self) -> int:
@@ -113,12 +111,10 @@ class HmoDataset:
         logf = np.log10(self.families.astype(float))
         z = (logf - logf.mean()) / logf.std(ddof=0)
 
-        labs = self.states
-        first = {lab: int(np.argmax(self.state == lab)) for lab in labs}
-        e_state = np.array([self.exp_per_admission[first[lab]]
-                            for lab in labs], dtype=float)
-        ne_state = np.array([self.new_england[first[lab]]
-                             for lab in labs], dtype=float)
+        first = np.sort(np.unique(self.state, return_index=True)[1])
+        labs = self.state[first].tolist()
+        e_state = self.exp_per_admission[first].astype(float)
+        ne_state = self.new_england[first].astype(float)
         if e_state.std(ddof=0) == 0 or ne_state.std(ddof=0) == 0:
             raise DataError("a state-level covariate is constant; "
                             "its coefficient is not estimable")
@@ -128,19 +124,22 @@ class HmoDataset:
                 dict(zip(labs, ne_std.tolist())))
 
     def to_general(self) -> GeneralDataset:
-        """Build the general-engine dataset: X = [1, z, expenses, NE]."""
+        """Build the general-engine dataset: X = [1, z, expenses, NE].
+
+        One cluster per state, states in order of first appearance and
+        plans in file order within each state.
+        """
         z, e_std, ne_std = self.standardized_design()
-        clusters = []
-        for lab in self.states:
-            mask = self.state == lab
-            zi = z[mask]
-            ni = zi.shape[0]
-            xmat = np.column_stack([
-                np.ones(ni), zi,
-                np.full(ni, e_std[lab]), np.full(ni, ne_std[lab])])
-            clusters.append(GeneralCluster(
-                x=zi, X=xmat, y=self.premium[mask].astype(float)))
-        return GeneralDataset(clusters)
+        labels, first, inverse, sizes = np.unique(
+            self.state, return_index=True, return_inverse=True,
+            return_counts=True)
+        rows = np.argsort(first[inverse], kind="stable")
+        e = np.array([e_std[lab] for lab in labels.tolist()])[inverse]
+        ne = np.array([ne_std[lab] for lab in labels.tolist()])[inverse]
+        xmat = np.column_stack([np.ones_like(z), z, e, ne])
+        return GeneralDataset(x=z[rows], X=xmat[rows],
+                              y=self.premium[rows].astype(float),
+                              sizes=sizes[np.argsort(first)])
 
 
 def ingest_hmo(path, source: str = "canonical") -> HmoDataset:
@@ -313,17 +312,14 @@ def inflated_datasets(data: HmoDataset, phis,
     """
     gen = data.to_general()
     base = fit_general(gen, options)
-    u = eblups(base, gen)
-    fitted = [cl.X @ base.beta + u[i, 0] + u[i, 1] * cl.x
-              for i, cl in enumerate(gen.clusters)]
-    residuals = [cl.y - f for cl, f in zip(gen.clusters, fitted)]
+    u = np.repeat(eblups(base, gen), gen.sizes, axis=0)
+    fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
+    residual = gen.y - fitted
     for phi in phis:
         phi = float(phi)
         if phi < 1.0:
             raise ValueError("phi must be >= 1")
-        yield phi, GeneralDataset(
-            [GeneralCluster(x=cl.x, X=cl.X, y=f + phi * r)
-             for cl, f, r in zip(gen.clusters, fitted, residuals)])
+        yield phi, replace(gen, y=fitted + phi * residual)
 
 
 def phi_sweep(data: HmoDataset, phis=None,

@@ -8,10 +8,14 @@ log_rl, and the GLS fixed effects ``beta`` from the general engine only):
   truncation of that matrix, and
 
 * the general engine handles unequal cluster sizes, arbitrary within-cluster
-  regressor values and extra fixed effects, reducing each cluster to 2x2 and
-  2x(p+1) cross-products once.  One objective call is then closed-form 2x2
-  algebra on length-k arrays, one matrix-vector product and one Cholesky
-  factorisation of a (p+1)x(p+1) matrix (see ``_GeneralPieces``).
+  regressor values and extra fixed effects.  Its ``GeneralDataset`` holds
+  the rows flat, as lme4 does: x, X and y plus the cluster sizes, each
+  cluster a contiguous block of rows.  Each cluster is reduced once to 2x2
+  and 2x(p+1) cross-products, with no per-cluster loop.  One objective call
+  is then closed-form 2x2 algebra on length-k arrays, one matrix-vector
+  product and one Cholesky factorisation of a (p+1)x(p+1) matrix (see
+  ``_GeneralPieces``), and the search starts from per-cluster OLS moments
+  formed from the same cross-products.
 
 The general engine searches the relative Cholesky factor L of
 Sigma_rel = LL', the random-effect covariance relative to the error
@@ -49,7 +53,6 @@ __all__ = [
     "ClassifyTolerances",
     "FitOptions",
     "FitResult",
-    "GeneralCluster",
     "GeneralDataset",
     "log_restricted_likelihood",
     "profile_sigma2_r",
@@ -388,56 +391,51 @@ def fit_balanced(data, options=None):
 
 
 @dataclass(frozen=True)
-class GeneralCluster:
-    """One cluster: regressor values, fixed-effect rows, responses."""
+class GeneralDataset:
+    """Unbalanced two-level dataset with random intercept and slope on x.
 
-    x: np.ndarray  # (n_i,)
-    X: np.ndarray  # (n_i, p)
-    y: np.ndarray  # (n_i,)
+    The rows are held flat, as lme4 holds them: regressor values x (n,),
+    fixed-effect rows X (n, p) and responses y (n,).  Cluster k owns the
+    sizes[k] rows that follow those of clusters 0..k-1.
+    """
+
+    x: np.ndarray  # (n,)
+    X: np.ndarray  # (n, p)
+    y: np.ndarray  # (n,)
+    sizes: np.ndarray  # (k,) ints >= 1 that sum to n
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or y.shape != x.shape or X.ndim != 2 or X.shape[0] != x.shape[0]:
-            raise ValueError("cluster arrays must be (n,), (n, p), (n,)")
-        if x.shape[0] < 1:
-            raise ValueError("cluster must contain at least one observation")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        sizes = np.asarray(self.sizes, dtype=np.int64)
+        if (x.ndim != 1 or y.shape != x.shape or X.ndim != 2 or X.shape[0] != x.shape[0]
+                or sizes.ndim != 1):
+            raise ValueError("cluster arrays must be (n,), (n, p), (n,) and sizes (k,)")
+        if not (np.isfinite(x).all() and np.isfinite(X).all() and np.isfinite(y).all()):
             raise ValueError("cluster data must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-
-
-@dataclass(frozen=True)
-class GeneralDataset:
-    """Unbalanced two-level dataset with random intercept and slope on x."""
-
-    clusters: tuple
-
-    def __post_init__(self):
-        cl = tuple(self.clusters)
-        if len(cl) < 2:
+        if sizes.shape[0] < 2:
             raise ValueError("need at least two clusters")
-        p = cl[0].X.shape[1]
-        if any(c.X.shape[1] != p for c in cl):
-            raise ValueError("all clusters must share the fixed-effect dimension")
-        if sum(c.x.shape[0] for c in cl) <= p + 2:
+        if sizes.min() < 1:
+            raise ValueError("cluster must contain at least one observation")
+        if sizes.sum() != x.shape[0]:
+            raise ValueError("cluster sizes must sum to the number of rows")
+        if x.shape[0] <= X.shape[1] + 2:
             raise ValueError("need more observations than fixed effects plus two")
-        object.__setattr__(self, "clusters", cl)
+        for name, value in (("x", x), ("X", X), ("y", y), ("sizes", sizes)):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self):
-        return self.clusters[0].X.shape[1]
+        return self.X.shape[1]
 
     @property
     def n_total(self):
-        return sum(c.x.shape[0] for c in self.clusters)
+        return self.x.shape[0]
 
     @property
     def n_clusters(self):
-        return len(self.clusters)
+        return self.sizes.shape[0]
 
     @classmethod
     def from_rows(cls, rows, fixed_columns=()):
@@ -445,36 +443,27 @@ class GeneralDataset:
         missing = [c for c in fixed_columns if c not in rows.extra]
         if missing:
             raise DataError(f"{rows.path}: fixed-effect columns not present: {missing}")
-        fixed = [rows.column(c) for c in fixed_columns]
-        clusters = []
-        for a, b in zip(rows.bounds[:-1], rows.bounds[1:]):
-            x = rows.x[a:b].copy()
-            X = np.column_stack([np.ones(b - a), x, *(col[a:b] for col in fixed)])
-            clusters.append(GeneralCluster(x=x, X=X, y=rows.y[a:b].copy()))
+        X = np.column_stack([np.ones_like(rows.x), rows.x, *map(rows.column, fixed_columns)])
         try:
-            return cls(clusters=tuple(clusters))
+            return cls(x=rows.x, X=X, y=rows.y, sizes=np.diff(rows.bounds))
         except ValueError as exc:
             raise DataError(f"{rows.path}: {exc}") from exc
 
     @classmethod
     def from_balanced(cls, data):
         """View a balanced dataset as a general one (fixed effects [1, x])."""
-        h = data.design.h
-        X = np.column_stack([np.ones_like(h), h])
-        return cls(
-            clusters=tuple(
-                GeneralCluster(x=h, X=X, y=data.y[i]) for i in range(data.design.n_clusters)
-            )
-        )
+        n, s = data.design.n_clusters, data.design.cluster_size
+        x = np.tile(data.design.h, n)
+        X = np.column_stack([np.ones_like(x), x])
+        return cls(x=x, X=X, y=data.y.reshape(-1), sizes=np.full(n, s))
 
 
 class _GeneralPieces:
     """Per-cluster cross-products reused at every objective evaluation.
 
     The relative covariance is Sigma = LL' = [[a, b], [b, c]] with the
-    Cholesky factor L = [[l11, 0], [l21, l22]], passed as l = (l11, l21, l22);
-    the methods that take theta = (lambda_c, lambda_s, rho) convert it with
-    ``_chol``.  With H_k = [1, x], V_k / sigma2_e = I + H_k Sigma H_k' has
+    Cholesky factor L = [[l11, 0], [l21, l22]], passed as l = (l11, l21, l22)
+    to every method.  With H_k = [1, x], V_k / sigma2_e = I + H_k Sigma H_k' has
     inverse I - H_k S_k H_k' with S_k = Sigma (I + C_k Sigma)^-1 and
     C_k = H_k'H_k.  In closed form S_k = (Sigma + det(Sigma) adj(C_k)) / d_k
     with d_k = det(I + C_k Sigma), so S_k is exactly symmetric, and d_k and
@@ -491,16 +480,16 @@ class _GeneralPieces:
     """
 
     def __init__(self, data):
-        sizes = np.array([c.x.shape[0] for c in data.clusters])
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        x = np.concatenate([c.x for c in data.clusters])
-        xy = np.concatenate([np.column_stack([c.X, c.y]) for c in data.clusters])
+        x = data.x
+        xy = np.column_stack([data.X, data.y])
+        self.starts = np.concatenate([[0], np.cumsum(data.sizes)[:-1]])
         p = self.p = data.p
-        k = self.k = len(sizes)
+        k = self.k = data.n_clusters
         self.dof = data.n_total - p
         self.offset = 0.5 * self.dof * (1.0 - math.log(self.dof))
 
-        c00, c01, c11 = sizes.astype(float), np.add.reduceat(x, starts), np.add.reduceat(x * x, starts)
+        c00 = data.sizes.astype(float)
+        c01, c11 = np.add.reduceat(x, self.starts), np.add.reduceat(x * x, self.starts)
         self.c = np.stack([[c00, c01], [c01, c11]]).transpose(2, 0, 1)
         self.c_sum = self.c.sum(axis=0)
         self.csc = _sym_products(self.c[:, :, 0], self.c[:, :, 1])
@@ -513,7 +502,7 @@ class _GeneralPieces:
             [c00 * c11 - c01 * c01, c11, -2.0 * c01, c00],
         ])
 
-        z0, z1 = np.add.reduceat(xy, starts), np.add.reduceat(x[:, None] * xy, starts)
+        z0, z1 = np.add.reduceat(xy, self.starts), np.add.reduceat(x[:, None] * xy, self.starts)
         self.z = np.stack([z0, z1], axis=1)  # (k, 2, p + 1)
         self.W = _sym_products(z0, z1)
         self.base = xy.T @ xy
@@ -534,6 +523,13 @@ class _GeneralPieces:
         return self.base - (w.reshape(-1) @ self.W).reshape(self.p + 1, self.p + 1)
 
     def _value(self, l):
+        """Negative profiled log restricted likelihood at L, up to a constant.
+
+        0.5 dof (log(rss/dof) + 1) + 0.5 sum_k log d_k + 0.5 log det X'V^-1X,
+        or 1e30 where the profile is numerically unusable: some d_k <= 0, or
+        an augmented GLS matrix that is not positive definite (singular
+        X'V^-1X or no GLS residual).
+        """
         det, w = self._s(l)
         if not det.min() > 0:
             return 1e30
@@ -546,30 +542,18 @@ class _GeneralPieces:
             self.dof * log_piv[-1] + self.offset + 0.5 * np.log(det).sum() + log_piv[:-1].sum()
         )
 
-    def value(self, theta):
-        """Negative profiled log restricted likelihood at theta, up to a constant.
-
-        0.5 dof (log(rss/dof) + 1) + 0.5 sum_k log d_k + 0.5 log det X'V^-1X,
-        or 1e30 where the profile is numerically unusable: some d_k <= 0, or
-        an augmented GLS matrix that is not positive definite (singular
-        X'V^-1X or no GLS residual).
-        """
-        return self._value(_chol(theta))
-
     def _gls(self, w):
+        """(X'V^-1X)^-1, the GLS fixed effects and the GLS rss at the weights w of ``_s``."""
         p = self.p
         m = self._gls_matrix(w)
         xvx_inv = np.linalg.inv(m[:p, :p])
         beta = xvx_inv @ m[:p, p]
         return xvx_inv, beta, float(m[p, p] - m[:p, p] @ beta)
 
-    def gls(self, theta):
-        """(X'V^-1X)^-1, the GLS fixed effects and the GLS rss at theta."""
-        return self._gls(self._s(_chol(theta))[1])
-
-    def eblups(self, theta, beta):
-        """u_k = S_k (H_k'y_k - G_k beta) for every cluster, shape (k, 2)."""
-        w = self._s(_chol(theta))[1]
+    def eblups(self, l):
+        """u_k = S_k (H_k'y_k - G_k beta) for every cluster, shape (k, 2), at GLS beta."""
+        w = self._s(l)[1]
+        beta = self._gls(w)[1]
         r0, r1 = (self.z @ np.append(-beta, 1.0)).T
         return np.column_stack([w[0] * r0 + 0.5 * w[1] * r1, 0.5 * w[1] * r0 + w[2] * r1])
 
@@ -601,20 +585,6 @@ class _GeneralPieces:
             - self.dof / rss * (u @ u.T)
         )
         return 0.5 * (mat + mat.T)
-
-    def gradient(self, theta):
-        """Analytic gradient of ``value`` in theta = (lambda_c, lambda_s, rho).
-
-        The chain rule through Sigma = [[lc^2, rho lc ls], [., ls^2]] applied
-        to ``sigma_gradient``.
-        """
-        lc, ls, rho = theta
-        (m00, m01), (_, m11) = self.sigma_gradient(_chol(theta))
-        return np.array([
-            2.0 * (m00 * lc + m01 * rho * ls),
-            2.0 * (m11 * ls + m01 * rho * lc),
-            2.0 * m01 * lc * ls,
-        ])
 
 
 def _sym_products(a, b):
@@ -661,17 +631,18 @@ def fit_general(data, options=None):
     opts = options or FitOptions()
     pieces = _GeneralPieces(data)
 
-    start = _chol(_general_moment_start(data))
+    start = _chol(_general_moment_start(pieces, data))
     if not pieces._value(start) < 1e30:
         raise DegenerateDataError("restricted likelihood is unusable at the starting point")
     full, full_value, n_evals = _newton(pieces, start)
     facet, facet_value, n_facet = _newton(pieces, full[:2])
     n_evals += n_facet
     theta = _snap(_theta(facet + (0.0,) if facet_value <= full_value else full), opts.tolerances)
-    value = pieces.value(theta)
+    l = _chol(theta)
+    value = pieces._value(l)
     if not value < 1e30:
         raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
-    _, beta, rss = pieces.gls(theta)
+    _, beta, rss = pieces._gls(pieces._s(l)[1])
     n_evals += 2
     s2e = rss / pieces.dof
     lc, ls, rho = theta
@@ -804,43 +775,33 @@ def _newton(pieces, x):
     return tuple(x.tolist()), f, calls
 
 
-def _general_moment_start(data):
-    """Rough moment-based starting point of the Newton search."""
-    rss_sum, df_sum = 0.0, 0
-    coefs = []
-    for c in data.clusters:
-        n_i = c.x.shape[0]
-        spread = float(np.var(c.x)) > 0
-        if n_i >= 2 and spread:
-            H = np.column_stack([np.ones_like(c.x), c.x])
-            sol, res, _, _ = np.linalg.lstsq(H, c.y, rcond=None)
-            coefs.append(sol)
-            if n_i >= 3:
-                fitted = H @ sol
-                rss_sum += float(np.sum((c.y - fitted) ** 2))
-                df_sum += n_i - 2
-    if df_sum > 0 and rss_sum > 0:
-        s2e0 = rss_sum / df_sum
-    else:
-        pooled = np.concatenate([c.y for c in data.clusters])
-        s2e0 = max(float(np.var(pooled)), 1e-8)
-    if len(coefs) >= 3:
-        arr = np.array(coefs)
-        va = max(float(np.var(arr[:, 0], ddof=1)) - s2e0, 0.0)
-        vb = max(float(np.var(arr[:, 1], ddof=1)) - s2e0, 0.0)
-        lc0 = math.sqrt(va / s2e0) if va > 0 else 0.3
-        ls0 = math.sqrt(vb / s2e0) if vb > 0 else 0.3
-        sa, sb = float(np.std(arr[:, 0])), float(np.std(arr[:, 1]))
-        if sa > 0 and sb > 0:
-            rho0 = float(np.corrcoef(arr[:, 0], arr[:, 1])[0, 1])
-            rho0 = min(max(rho0, -0.9), 0.9)
-        else:
-            rho0 = 0.0
-    else:
-        lc0, ls0, rho0 = 0.5, 0.5, 0.0
-    lc0 = min(max(lc0, 1e-3), 0.9 * _LAMBDA_MAX)
-    ls0 = min(max(ls0, 1e-3), 0.9 * _LAMBDA_MAX)
-    return lc0, ls0, rho0
+def _general_moment_start(pieces, data):
+    """Rough moment-based starting theta of the Newton search.
+
+    Each cluster with spread in x gets its OLS coefficients (a_k, b_k) on
+    [1, x], solved from C_k and H_k'y_k.  sigma2_e is the pooled OLS
+    residual variance of the clusters with at least three rows (or the
+    variance of y, if they leave none), and the spread and correlation of
+    the coefficients, less that noise, give lambda_c, lambda_s and rho.
+    """
+    (c00, c01), (_, c11) = pieces.c.transpose(1, 2, 0)
+    hy0, hy1 = pieces.z[:, :, -1].T
+    det = c00 * c11 - c01 * c01
+    ok = det > 1e-12 * c00 * c11  # above the rounding of det, which is 0 for constant x
+    a, b = np.stack([c11 * hy0 - c01 * hy1, c00 * hy1 - c01 * hy0])[:, ok] / det[ok]
+    rss = np.add.reduceat(data.y * data.y, pieces.starts)[ok] - a * hy0[ok] - b * hy1[ok]
+    pooled = c00[ok] >= 3
+    rss, df = float(rss[pooled].sum()), float((c00[ok][pooled] - 2.0).sum())
+    s2e0 = rss / df if df > 0 and rss > 0 else max(float(np.var(data.y)), 1e-8)
+    if a.size < 3:
+        return 0.5, 0.5, 0.0
+    excess = np.var([a, b], axis=1, ddof=1) - s2e0
+    lam = np.where(excess > 0, np.sqrt(np.abs(excess) / s2e0), 0.3)
+    lc0, ls0 = lam.clip(1e-3, 0.9 * _LAMBDA_MAX)
+    rho0 = 0.0
+    if np.std(a) > 0 and np.std(b) > 0:
+        rho0 = min(max(float(np.corrcoef(a, b)[0, 1]), -0.9), 0.9)
+    return float(lc0), float(ls0), rho0
 
 
 def eblups(fit, data):
@@ -848,15 +809,18 @@ def eblups(fit, data):
 
     u_i = Sigma_hat H_i' V_i^{-1} (y_i - X_i beta_hat), evaluated from the
     per-cluster pieces as u_i = S_i (H_i'y_i - G_i beta_hat) with
-    S_i = Sigma_rel (I + C_i Sigma_rel)^{-1}.  When Sigma_hat is singular the
-    BLUPs lie in its column space by construction.
+    S_i = Sigma_rel (I + C_i Sigma_rel)^{-1}.  beta_hat is the GLS estimate
+    at the fit's Sigma_rel (``fit.beta`` for a general fit), so a balanced
+    fit of data viewed through ``GeneralDataset.from_balanced`` works too.
+    When Sigma_hat is singular the BLUPs lie in its column space by
+    construction.
 
     Returns:
         Array of shape (n_clusters, 2).
     """
     vp = fit.params
-    theta = (math.sqrt(vp.sigma2_c / vp.sigma2_e), math.sqrt(vp.sigma2_s / vp.sigma2_e), vp.rho)
-    return _GeneralPieces(data).eblups(theta, fit.beta)
+    (l11, _), (l21, l22) = vp.sigma_cholesky() / math.sqrt(vp.sigma2_e)
+    return _GeneralPieces(data).eblups((l11, l21, l22))
 
 
 # ---------------------------------------------------------------------------
@@ -877,23 +841,11 @@ def log_rl_dense_oracle(data, vp):
         raise ValueError("dense restricted likelihood requires sigma2_e > 0")
     if isinstance(data, ClusteredDataset):
         data = GeneralDataset.from_balanced(data)
-    sigma = vp.sigma_matrix()
-    blocks_v = []
-    xs, ys = [], []
-    for c in data.clusters:
-        H = np.column_stack([np.ones_like(c.x), c.x])
-        blocks_v.append(H @ sigma @ H.T + vp.sigma2_e * np.eye(len(c.x)))
-        xs.append(c.X)
-        ys.append(c.y)
-    n = sum(b.shape[0] for b in blocks_v)
-    V = np.zeros((n, n))
-    at = 0
-    for b in blocks_v:
-        k = b.shape[0]
-        V[at : at + k, at : at + k] = b
-        at += k
-    X = np.vstack(xs)
-    y = np.concatenate(ys)
+    H = np.column_stack([np.ones_like(data.x), data.x])
+    cluster = np.repeat(np.arange(data.n_clusters), data.sizes)
+    same = cluster[:, None] == cluster[None, :]
+    V = np.where(same, H @ vp.sigma_matrix() @ H.T, 0.0) + vp.sigma2_e * np.eye(data.n_total)
+    X, y = data.X, data.y
 
     sign_v, logdet_v = np.linalg.slogdet(V)
     vinv_x = np.linalg.solve(V, X)

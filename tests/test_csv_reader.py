@@ -192,7 +192,9 @@ def outcome(read, path):
         return (type(exc).__name__, str(exc).replace(str(path), "{path}"))
     if hasattr(result, "design"):
         return result.y.tolist()
-    return [(c.x.tolist(), c.y.tolist()) for c in result.clusters]
+    cut = np.cumsum(result.sizes)[:-1]
+    return [(x.tolist(), y.tolist())
+            for x, y in zip(np.split(result.x, cut), np.split(result.y, cut))]
 
 
 def assert_same_rows(a, b):

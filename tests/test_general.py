@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from remlab import (Classification, DataError, DesignSpec, FixedEffects,
-                    GeneralCluster, GeneralDataset, VarianceParams, derive_seed,
-                    eblups, experiment_catalog, fit_balanced, fit_general,
+                    GeneralDataset, VarianceParams, derive_seed, eblups,
+                    experiment_catalog, fit_balanced, fit_general,
                     log_rl_dense_oracle, read_general_csv, simulate)
-from remlab.reml_core import _GeneralPieces
+from remlab.reml_core import _chol, _general_moment_start, _GeneralPieces
 
 
 def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
@@ -17,25 +17,52 @@ def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
     rng = np.random.default_rng(seed)
     vp = sigma or VarianceParams(2.0, 1.0, 0.5, -0.6)
     chol = vp.sigma_cholesky()
-    clusters = []
+    xs, ys = [], []
     for _ in range(n_clusters):
         n_i = int(rng.integers(1, 7))
         x = np.sort(rng.uniform(-1.0, 1.0, size=n_i))
         u = chol @ rng.standard_normal(2)
-        y = (1.5 + u[0]) + (0.5 + u[1]) * x \
-            + math.sqrt(vp.sigma2_e) * rng.standard_normal(n_i)
-        X = np.column_stack([np.ones_like(x), x])
-        clusters.append(GeneralCluster(x=x, X=X, y=y))
-    return GeneralDataset(clusters=tuple(clusters))
+        xs.append(x)
+        ys.append((1.5 + u[0]) + (0.5 + u[1]) * x
+                  + math.sqrt(vp.sigma2_e) * rng.standard_normal(n_i))
+    x = np.concatenate(xs)
+    return GeneralDataset(x=x, X=np.column_stack([np.ones_like(x), x]),
+                          y=np.concatenate(ys), sizes=[len(c) for c in xs])
 
 
 def with_extra_column(data, seed):
-    """data with a third fixed effect, as ``--fixed-spec`` adds one."""
+    """data with a third fixed effect, as ``--fixed-spec`` adds one.
+
+    The column is drawn cluster by cluster, in cluster order.
+    """
     rng = np.random.default_rng(seed)
-    return GeneralDataset(clusters=tuple(
-        GeneralCluster(x=c.x, X=np.column_stack([c.X, rng.normal(size=len(c.x))]),
-                       y=c.y)
-        for c in data.clusters))
+    extra = np.concatenate([rng.normal(size=n) for n in data.sizes])
+    return GeneralDataset(x=data.x, X=np.column_stack([data.X, extra]),
+                          y=data.y, sizes=data.sizes)
+
+
+def clusters(data):
+    """(x, X, y) of each cluster, in order."""
+    cut = np.cumsum(data.sizes)[:-1]
+    return list(zip(np.split(data.x, cut), np.split(data.X, cut),
+                    np.split(data.y, cut)))
+
+
+def value(pieces, theta):
+    """The objective of ``pieces`` at theta = (lambda_c, lambda_s, rho)."""
+    return pieces._value(_chol(theta))
+
+
+def theta_gradient(pieces, theta):
+    """Analytic gradient of ``value`` in theta, by the chain rule through
+    Sigma = [[lc^2, rho lc ls], [., ls^2]] applied to ``sigma_gradient``."""
+    lc, ls, rho = theta
+    (m00, m01), (_, m11) = pieces.sigma_gradient(_chol(theta))
+    return np.array([
+        2.0 * (m00 * lc + m01 * rho * ls),
+        2.0 * (m11 * ls + m01 * rho * lc),
+        2.0 * m01 * lc * ls,
+    ])
 
 
 def theta_of(vp):
@@ -72,14 +99,14 @@ class TestObjective:
         data = unbalanced_dataset(seed=17)
         if p == 3:
             data = with_extra_column(data, 5)
-        assert min(len(c.x) for c in data.clusters) == 1
+        assert data.sizes.min() == 1
         pieces = _GeneralPieces(data)
         rng = np.random.default_rng(3)
         thetas = THETAS + [(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0),
                             rng.uniform(-0.95, 0.95)) for _ in range(4)]
         for theta in thetas:
-            grad = pieces.gradient(theta)
-            fd = np.array([slope(pieces.value, theta, j, 1e-4)
+            grad = theta_gradient(pieces, theta)
+            fd = np.array([slope(lambda t: value(pieces, t), theta, j, 1e-4)
                            for j in range(3)])
             np.testing.assert_allclose(grad, fd, rtol=1e-6,
                                        atol=1e-6 * np.abs(fd).max())
@@ -88,11 +115,11 @@ class TestObjective:
         data = with_extra_column(unbalanced_dataset(seed=17, n_clusters=12), 5)
         pieces = _GeneralPieces(data)
         for theta in THETAS:
-            s2e = pieces.gls(theta)[2] / pieces.dof
+            s2e = pieces._gls(pieces._s(_chol(theta))[1])[2] / pieces.dof
             lc, ls, rho = theta
             vp = VarianceParams(s2e, lc * lc * s2e, ls * ls * s2e, rho)
             np.testing.assert_allclose(
-                -pieces.value(theta) + 0.5 * pieces.logdet_xtx,
+                -value(pieces, theta) + 0.5 * pieces.logdet_xtx,
                 log_rl_dense_oracle(data, vp) + 0.5 * pieces.logdet_xtx,
                 rtol=1e-11)
 
@@ -105,19 +132,70 @@ class TestObjective:
         fit = fit_general(data)
         pieces = _GeneralPieces(data)
         theta = theta_of(fit.params)
+
+        def fn(t):
+            return value(pieces, t)
+
         violation = 0.0
         if min(theta[:2]) > 0.0 and abs(theta[2]) == 1.0:
-            violation = max(0.0, theta[2] * inward_slope(pieces.value, theta))
+            violation = max(0.0, theta[2] * inward_slope(fn, theta))
         free = [j for j in (0, 1) if theta[j] > 0.0]
         if min(theta[:2]) > 0.0 and abs(theta[2]) < 1.0:
             free.append(2)
         for j in free:
             violation = max(violation,
-                            abs(slope(pieces.value, theta, j, 1e-5)))
+                            abs(slope(fn, theta, j, 1e-5)))
         if fit.converged:
             assert violation <= 1e-7
         else:
             assert violation >= 1e-5
+
+
+def lstsq_moment_start(data):
+    """The moment start computed cluster by cluster with ``lstsq``: the
+    reference for ``_general_moment_start``."""
+    rss_sum, df_sum, coefs = 0.0, 0, []
+    for x, _, y in clusters(data):
+        if len(x) >= 2 and np.var(x) > 0:
+            H = np.column_stack([np.ones_like(x), x])
+            coefs.append(np.linalg.lstsq(H, y, rcond=None)[0])
+            if len(x) >= 3:
+                rss_sum += float(np.sum((y - H @ coefs[-1]) ** 2))
+                df_sum += len(x) - 2
+    if df_sum > 0 and rss_sum > 0:
+        s2e0 = rss_sum / df_sum
+    else:
+        s2e0 = max(float(np.var(data.y)), 1e-8)
+    if len(coefs) < 3:
+        return 0.5, 0.5, 0.0
+    a, b = np.array(coefs).T
+    lams = []
+    for coef in (a, b):
+        excess = float(np.var(coef, ddof=1)) - s2e0
+        lams.append(math.sqrt(excess / s2e0) if excess > 0 else 0.3)
+    rho = min(max(float(np.corrcoef(a, b)[0, 1]), -0.9), 0.9)
+    return (*(min(max(lam, 1e-3), 900.0) for lam in lams), rho)
+
+
+class TestMomentStart:
+    @pytest.mark.parametrize("seed", range(0, 40, 3))
+    def test_matches_the_cluster_loop(self, seed):
+        # the normal equations lose about log10(y'y / rss) digits against
+        # lstsq, far fewer than the 9 that this tolerance leaves
+        data = unbalanced_dataset(seed=seed)
+        np.testing.assert_allclose(
+            _general_moment_start(_GeneralPieces(data), data),
+            lstsq_moment_start(data), rtol=1e-9, atol=1e-12)
+
+    def test_few_spread_clusters_fall_back(self):
+        # singletons carry no slope: with two usable clusters the start is
+        # the fixed fallback
+        x = np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 5.0, 6.0])
+        data = GeneralDataset(x=x, X=np.column_stack([np.ones_like(x), x]),
+                              y=np.array([1.0, 2.0, 4.0, 0.0, 1.0, 1.0, 3.0, 2.0]),
+                              sizes=[3, 3, 1, 1])
+        start = _general_moment_start(_GeneralPieces(data), data)
+        assert start == lstsq_moment_start(data) == (0.5, 0.5, 0.0)
 
 
 class TestGeneralDataset:
@@ -126,20 +204,28 @@ class TestGeneralDataset:
         assert g.n_clusters == medium_dataset.design.n_clusters
         assert g.n_total == medium_dataset.design.n_total
         assert g.p == 2
-        np.testing.assert_array_equal(g.clusters[0].x,
-                                      medium_dataset.design.h)
-        np.testing.assert_array_equal(g.clusters[3].y, medium_dataset.y[3])
+        np.testing.assert_array_equal(g.sizes, [medium_dataset.design.cluster_size]
+                                      * medium_dataset.design.n_clusters)
+        each = clusters(g)
+        np.testing.assert_array_equal(each[0][0], medium_dataset.design.h)
+        np.testing.assert_array_equal(each[3][2], medium_dataset.y[3])
 
     def test_validation(self):
-        x = np.array([0.0, 1.0])
+        x = np.array([0.0, 1.0, 0.0, 1.0, 0.5])
         X = np.column_stack([np.ones_like(x), x])
-        c = GeneralCluster(x=x, X=X, y=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            GeneralDataset(clusters=(c,))
-        with pytest.raises(ValueError):
-            GeneralCluster(x=x, X=X, y=np.array([1.0]))
-        with pytest.raises(ValueError):
-            GeneralCluster(x=x, X=X, y=np.array([1.0, math.nan]))
+        y = np.array([1.0, 2.0, 0.5, 1.5, 1.0])
+        GeneralDataset(x=x, X=X, y=y, sizes=[2, 3])
+        with pytest.raises(ValueError, match="at least two clusters"):
+            GeneralDataset(x=x, X=X, y=y, sizes=[5])
+        with pytest.raises(ValueError, match="must be"):
+            GeneralDataset(x=x, X=X, y=y[:4], sizes=[2, 3])
+        with pytest.raises(ValueError, match="finite"):
+            GeneralDataset(x=x, X=X, y=np.append(y[:4], math.nan),
+                           sizes=[2, 3])
+        with pytest.raises(ValueError, match="at least one observation"):
+            GeneralDataset(x=x, X=X, y=y, sizes=[2, 0, 3])
+        with pytest.raises(ValueError, match="sum to the number of rows"):
+            GeneralDataset(x=x, X=X, y=y, sizes=[2, 2])
 
 
 class TestEngineAgreement:
@@ -182,7 +268,7 @@ class TestEngineAgreement:
         # constant that makes it agree with the balanced engine's value
         data = unbalanced_dataset(seed=3, n_clusters=6)
         fit = fit_general(data)
-        xtx = sum(c.X.T @ c.X for c in data.clusters)
+        xtx = sum(X.T @ X for _, X, _ in clusters(data))
         half_logdet = 0.5 * np.linalg.slogdet(xtx)[1]
         np.testing.assert_allclose(
             fit.log_rl, log_rl_dense_oracle(data, fit.params) + half_logdet,
@@ -210,12 +296,12 @@ class TestEngineAgreement:
         sig = vp.sigma_matrix()
         xtvx = np.zeros((2, 2))
         xtvy = np.zeros(2)
-        for c in data.clusters:
-            H = np.column_stack([np.ones_like(c.x), c.x])
-            V = H @ sig @ H.T + vp.sigma2_e * np.eye(len(c.x))
+        for x, X, y in clusters(data):
+            H = np.column_stack([np.ones_like(x), x])
+            V = H @ sig @ H.T + vp.sigma2_e * np.eye(len(x))
             Vi = np.linalg.inv(V)
-            xtvx += c.X.T @ Vi @ c.X
-            xtvy += c.X.T @ Vi @ c.y
+            xtvx += X.T @ Vi @ X
+            xtvy += X.T @ Vi @ y
         np.testing.assert_allclose(fit.beta, np.linalg.solve(xtvx, xtvy),
                                    rtol=1e-8)
 
@@ -227,16 +313,24 @@ class TestEblups:
         u = eblups(fit, data)
         vp = fit.params
         sig = vp.sigma_matrix()
-        for i, c in enumerate(data.clusters):
-            H = np.column_stack([np.ones_like(c.x), c.x])
-            V = H @ sig @ H.T + vp.sigma2_e * np.eye(len(c.x))
-            expect = sig @ H.T @ np.linalg.solve(V, c.y - c.X @ fit.beta)
+        for i, (x, X, y) in enumerate(clusters(data)):
+            H = np.column_stack([np.ones_like(x), x])
+            V = H @ sig @ H.T + vp.sigma2_e * np.eye(len(x))
+            expect = sig @ H.T @ np.linalg.solve(V, y - X @ fit.beta)
             np.testing.assert_allclose(u[i], expect, rtol=1e-8, atol=1e-10)
+
+    def test_balanced_fit_gives_the_general_fit_blups(self, medium_dataset):
+        # a fit_balanced result carries no beta: eblups takes the GLS beta
+        # at the fit's Sigma_rel, so both engines' fits give the same BLUPs
+        g = GeneralDataset.from_balanced(medium_dataset)
+        ub = eblups(fit_balanced(medium_dataset), g)
+        ug = eblups(fit_general(g), g)
+        np.testing.assert_allclose(ub, ug, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ug).max())
 
     def test_single_observation_cluster_is_finite(self):
         data = unbalanced_dataset(seed=2)
-        sizes = [len(c.x) for c in data.clusters]
-        assert 1 in sizes  # the generator produces singletons
+        assert 1 in data.sizes  # the generator produces singletons
         fit = fit_general(data)
         u = eblups(fit, data)
         assert np.all(np.isfinite(u))
@@ -249,10 +343,10 @@ class TestEblups:
         fit = fit_general(data)
         u = eblups(fit, data)
         raw = []
-        for c in data.clusters:
-            if len(c.x) >= 3 and np.var(c.x) > 0:
-                H = np.column_stack([np.ones_like(c.x), c.x])
-                coef, _, _, _ = np.linalg.lstsq(H, c.y, rcond=None)
+        for x, _, y in clusters(data):
+            if len(x) >= 3 and np.var(x) > 0:
+                H = np.column_stack([np.ones_like(x), x])
+                coef, _, _, _ = np.linalg.lstsq(H, y, rcond=None)
                 raw.append(coef)
         raw = np.array(raw) - [np.mean([r[0] for r in raw]),
                                np.mean([r[1] for r in raw])]
@@ -263,13 +357,15 @@ class TestEblups:
 class TestGeneralValidation:
     def test_rank_deficient_fixed_effects(self):
         rng = np.random.default_rng(1)
-        clusters = []
+        xs, ys = [], []
         for _ in range(5):
-            x = rng.uniform(-1, 1, size=4)
-            X = np.column_stack([np.ones_like(x), x, 2.0 * x])  # collinear
-            clusters.append(GeneralCluster(x=x, X=X, y=rng.normal(size=4)))
+            xs.append(rng.uniform(-1, 1, size=4))
+            ys.append(rng.normal(size=4))
+        x = np.concatenate(xs)
+        X = np.column_stack([np.ones_like(x), x, 2.0 * x])  # collinear
         with pytest.raises(DataError, match="rank deficient"):
-            fit_general(GeneralDataset(clusters=tuple(clusters)))
+            fit_general(GeneralDataset(x=x, X=X, y=np.concatenate(ys),
+                                       sizes=[4] * 5))
 
 
 class TestGeneralCsv:

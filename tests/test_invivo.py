@@ -11,7 +11,7 @@ from remlab import (Classification, HmoDataset, fit_hmo, ingest_hmo,
 from remlab.errors import DataError
 from remlab.invivo import (default_phi_grid, inflated_datasets,
                            write_sweep_csv)
-from remlab.reml_core import GeneralDataset, _GeneralPieces, fit_general
+from remlab.reml_core import GeneralDataset, _chol, _GeneralPieces, fit_general
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +166,34 @@ class TestFit:
     def test_cluster_order_does_not_move_the_fit(self, surrogate):
         gen = surrogate.to_general()
         order = np.random.default_rng(0).permutation(gen.n_clusters)
+        cut = np.cumsum(gen.sizes)[:-1]
+        blocks = np.split(np.arange(gen.n_total), cut)
+        rows = np.concatenate([blocks[i] for i in order])
         a = fit_general(gen)
-        b = fit_general(GeneralDataset(tuple(gen.clusters[i] for i in order)))
+        b = fit_general(GeneralDataset(x=gen.x[rows], X=gen.X[rows],
+                                       y=gen.y[rows], sizes=gen.sizes[order]))
+        np.testing.assert_allclose(
+            [b.params.sigma2_e, b.params.sigma2_c, b.params.sigma2_s,
+             b.params.rho, b.log_rl, *b.beta],
+            [a.params.sigma2_e, a.params.sigma2_c, a.params.sigma2_s,
+             a.params.rho, a.log_rl, *a.beta], rtol=1e-9)
+
+
+    def test_interleaved_plan_rows_group_by_state(self, surrogate):
+        # plans in random file order, so that states interleave: to_general
+        # must still gather each state's plans into one cluster
+        perm = np.random.default_rng(1).permutation(surrogate.n_plans)
+        shuffled = HmoDataset(
+            state=surrogate.state[perm], premium=surrogate.premium[perm],
+            families=surrogate.families[perm],
+            exp_per_admission=surrogate.exp_per_admission[perm],
+            new_england=surrogate.new_england[perm], source="surrogate")
+        runs = 1 + int(np.sum(shuffled.state[1:] != shuffled.state[:-1]))
+        assert runs > shuffled.n_states
+        np.testing.assert_array_equal(shuffled.to_general().sizes,
+                                      shuffled.cluster_sizes())
+        a, b = fit_hmo(surrogate), fit_hmo(shuffled)
+        assert b.classification is a.classification
         np.testing.assert_allclose(
             [b.params.sigma2_e, b.params.sigma2_c, b.params.sigma2_s,
              b.params.rho, b.log_rl, *b.beta],
@@ -184,9 +210,12 @@ class TestPhiSweep:
         assert fit.classification is Classification.RHO_PLUS_ONE
         assert fit.converged
         p = fit.params
-        grad = _GeneralPieces(data).gradient(
-            (math.sqrt(p.sigma2_c / p.sigma2_e),
-             math.sqrt(p.sigma2_s / p.sigma2_e), p.rho))
+        lc, ls = math.sqrt(p.sigma2_c / p.sigma2_e), math.sqrt(p.sigma2_s / p.sigma2_e)
+        # the theta-gradient by the chain rule through
+        # Sigma = [[lc^2, rho lc ls], [., ls^2]], at rho = +1
+        (m00, m01), (_, m11) = _GeneralPieces(data).sigma_gradient(_chol((lc, ls, p.rho)))
+        grad = 2.0 * np.array([m00 * lc + m01 * p.rho * ls,
+                               m11 * ls + m01 * p.rho * lc, m01 * lc * ls])
         assert max(abs(grad[0]), abs(grad[1])) <= 1e-8
         assert grad[2] < 0.0
 
