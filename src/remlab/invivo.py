@@ -36,7 +36,7 @@ _HMO_HEADER = ["state", "premium", "families", "exp_per_admission",
                "new_england"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmoDataset:
     """Plan-level premium records grouped by state.
 
@@ -69,14 +69,17 @@ class HmoDataset:
             raise DataError("families enrolled must be >= 1")
         if not np.all(np.isin(self.new_england, (-1, 1))):
             raise DataError("new_england must be coded +1/-1")
+        labels, first, inverse = np.unique(
+            self.state, return_index=True, return_inverse=True)
+        first_row = first[inverse]  # each plan's state's first plan
         for name in ("exp_per_admission", "new_england"):
             col = getattr(self, name)
-            for lab in self.states:
-                vals = col[self.state == lab]
-                if np.ptp(vals) != 0:
-                    raise DataError(
-                        f"state-level column {name!r} varies within "
-                        f"state {lab!r}")
+            bad = inverse[col != col[first_row]]
+            if bad.size:
+                lab = labels[bad[np.argmin(first[bad])]].item()
+                raise DataError(
+                    f"state-level column {name!r} varies within "
+                    f"state {lab!r}")
 
     @property
     def states(self) -> list:
@@ -93,8 +96,10 @@ class HmoDataset:
         return int(self.premium.shape[0])
 
     def cluster_sizes(self) -> np.ndarray:
-        return np.array([int(np.sum(self.state == lab))
-                         for lab in self.states])
+        """Plans per state, states in order of first appearance."""
+        _, first, counts = np.unique(self.state, return_index=True,
+                                     return_counts=True)
+        return counts[np.argsort(first)]
 
     def standardized_design(self) -> tuple[np.ndarray, dict, dict]:
         """Standardize the regressors as the model requires.

@@ -203,7 +203,7 @@ class VarianceMode(str, enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteredDataset:
     """Responses of a balanced two-level dataset, one row per cluster."""
 
@@ -312,7 +312,7 @@ def simulate_stats(design, vp, seed):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuffStats:
     """Everything the restricted likelihood needs from a balanced dataset.
 

@@ -390,7 +390,7 @@ def fit_balanced(data, options=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralDataset:
     """Unbalanced two-level dataset with random intercept and slope on x.
 
@@ -512,15 +512,22 @@ class _GeneralPieces:
         _, self.logdet_xtx = np.linalg.slogdet(xtx)
 
     def _s(self, l):
-        """d_k = det(I + C_k Sigma) and the weights (S00, 2 S01, S11), shape (3, k)."""
-        l11, l21, l22 = l
-        coef = np.array([1.0, l11 * l11, 2.0 * l11 * l21, l21 * l21 + l22 * l22, (l11 * l22) ** 2])
-        out = coef @ self.lin
-        det = out[: self.k]
-        return det, out[self.k :].reshape(3, self.k) / det
+        """d_k = det(I + C_k Sigma) and the weights (S00, 2 S01, S11), shape ([B,] 3, k).
+
+        l is one point (3,) or a stack of points (B, 3), as in
+        ``sigma_gradient``, and ``_gls`` takes the weights of either.  Products
+        with the stored pieces are stacks of row-vector products
+        (``[..., None, :] @``), so a point rounds in a stack as it does alone.
+        """
+        l11, l21, l22 = np.asarray(l, dtype=float).T
+        coef = np.array([np.ones(l11.shape), l11 * l11, 2.0 * l11 * l21,
+                         l21 * l21 + l22 * l22, (l11 * l22) ** 2])
+        out = (coef.T[..., None, :] @ self.lin).reshape(l11.shape + (4, self.k))
+        return out[..., 0, :], out[..., 1:, :] / out[..., :1, :]
 
     def _gls_matrix(self, w):
-        return self.base - (w.reshape(-1) @ self.W).reshape(self.p + 1, self.p + 1)
+        batch = w.shape[:-2]
+        return self.base - (w.reshape(batch + (1, -1)) @ self.W).reshape(batch + self.base.shape)
 
     def _value(self, l):
         """Negative profiled log restricted likelihood at L, up to a constant.
@@ -546,9 +553,9 @@ class _GeneralPieces:
         """(X'V^-1X)^-1, the GLS fixed effects and the GLS rss at the weights w of ``_s``."""
         p = self.p
         m = self._gls_matrix(w)
-        xvx_inv = np.linalg.inv(m[:p, :p])
-        beta = xvx_inv @ m[:p, p]
-        return xvx_inv, beta, float(m[p, p] - m[:p, p] @ beta)
+        xvx_inv = np.linalg.inv(m[..., :p, :p])
+        beta = (xvx_inv @ m[..., :p, p:])[..., 0]
+        return xvx_inv, beta, m[..., p, p] - (m[..., :p, p] * beta).sum(axis=-1)
 
     def eblups(self, l):
         """u_k = S_k (H_k'y_k - G_k beta) for every cluster, shape (k, 2), at GLS beta."""
@@ -567,24 +574,29 @@ class _GeneralPieces:
             - dof / rss * sum_k (A_k^-1 r_k)(A_k^-1 r_k)'      (profiled rss)
         and A_k^-1 = I - C_k S_k, so no inverse is formed per cluster:
         sum_k C_k S_k C_k is one product with ``csc``, as the GLS matrix is
-        with ``W``.  The gradient in l is the lower triangle of 2 M L.
+        with ``W``.  The gradient in l is the lower triangle of 2 M L.  A
+        stack of points (B, 3) gives a stack of M, shape (B, 2, 2).
         """
         p = self.p
         w = self._s(l)[1]
+        batch = w.shape[:-2]
         xvx_inv, beta, rss = self._gls(w)
-        s00, s01, s11 = w[0, :, None], 0.5 * w[1, :, None], w[2, :, None]
+        s00, s01, s11 = w[..., 0, :, None], 0.5 * w[..., 1, :, None], w[..., 2, :, None]
         z0, z1 = self.z[:, 0], self.z[:, 1]
         sz0, sz1 = s00 * z0 + s01 * z1, s01 * z0 + s11 * z1
         c00, c01, c11 = self.c[:, 0, :1], self.c[:, 0, 1:], self.c[:, 1, 1:]
-        az = np.stack([z0 - c00 * sz0 - c01 * sz1, z1 - c01 * sz0 - c11 * sz1])  # A_k^-1 Z_k
-        ag, u = az[:, :, :p], az @ np.append(-beta, 1.0)
+        # A_k^-1 Z_k, shape ([B,] 2, k, p + 1)
+        az = np.stack([z0 - c00 * sz0 - c01 * sz1, z1 - c01 * sz0 - c11 * sz1], axis=-3)
+        resid = np.concatenate([-beta, np.ones(batch + (1,))], axis=-1)
+        ag, u = az[..., :p], (az @ resid[..., None, :, None])[..., 0]
+        ag_flat = ag.reshape(batch + (2, -1))
         mat = 0.5 * (
             self.c_sum
-            - (w.reshape(-1) @ self.csc).reshape(2, 2)
-            - (ag @ xvx_inv).reshape(2, -1) @ ag.reshape(2, -1).T
-            - self.dof / rss * (u @ u.T)
+            - (w.reshape(batch + (1, -1)) @ self.csc).reshape(batch + (2, 2))
+            - (ag @ xvx_inv[..., None, :, :]).reshape(batch + (2, -1)) @ ag_flat.swapaxes(-1, -2)
+            - (self.dof / rss)[..., None, None] * (u @ u.swapaxes(-1, -2))
         )
-        return 0.5 * (mat + mat.T)
+        return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def _sym_products(a, b):
@@ -622,7 +634,9 @@ def fit_general(data, options=None):
     set onto it (``_snap``).
 
     converged is the optimality certificate of ``_certified`` at the
-    returned point.  n_evals counts objective and gradient calls.
+    returned point.  n_evals counts the points at which the objective
+    (``_value``) or the Sigma-space gradient (``sigma_gradient``) was
+    evaluated, each point of a batched call included.
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
@@ -643,8 +657,8 @@ def fit_general(data, options=None):
     if not value < 1e30:
         raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
     _, beta, rss = pieces._gls(pieces._s(l)[1])
-    n_evals += 2
-    s2e = rss / pieces.dof
+    n_evals += 3  # the start, the returned point and its certificate
+    s2e = float(rss) / pieces.dof
     lc, ls, rho = theta
     vp = VarianceParams(
         sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho
@@ -720,33 +734,33 @@ def _newton(pieces, x):
 
     Modified Newton: the Hessian is the symmetrised central difference of the
     analytic gradient, with each eigenvalue replaced by its absolute value,
-    so every step descends, also off a saddle.  A backtracking line search
-    takes the step.  The search runs to the gradient floor: it stops when a
-    step that lowers the value by no more than rounding is also below
-    _STEP_FLOOR or does not lower the largest gradient component, when the
-    line search finds no descent, or after _NEWTON_STEPS steps.  Returns
-    (x, value, n_calls).
+    so every step descends, also off a saddle.  The gradient at a point and
+    at the 2n points +/- h e_j of that difference come from one batched
+    ``sigma_gradient`` call.  A backtracking line search takes the step.
+    The search runs to the gradient floor: it stops when a step that lowers
+    the value by no more than rounding is also below _STEP_FLOOR or does not
+    lower the largest gradient component, when the line search finds no
+    descent, or after _NEWTON_STEPS steps.  Returns (x, value, n_points),
+    n_points counting every point evaluated.
     """
     n = len(x)
 
     def chol(v):
         return tuple(v) + (0.0,) * (3 - n)
 
-    def grad(v):
-        l11, l21, l22 = l = chol(v)
-        (m00, m01), (_, m11) = pieces.sigma_gradient(l)
-        return 2.0 * np.array([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n]
+    def grad_hess(v):
+        h = _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
+        l = np.zeros((2 * n + 1, 3))
+        l[:, :n] = np.vstack([v, v + np.diag(h), v - np.diag(h)])
+        (m00, m01), (_, m11) = pieces.sigma_gradient(l).transpose(1, 2, 0)
+        l11, l21, l22 = l.T
+        g = 2.0 * np.stack([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n]
+        return g[:, 0], (g[:, 1 : n + 1] - g[:, n + 1 :]) / (2.0 * h)
 
     x = np.array(x, dtype=float)
-    f, g = pieces._value(chol(x)), grad(x)
-    calls = 2
+    f, (g, hess) = pieces._value(chol(x)), grad_hess(x)
+    calls = 2 * n + 2
     for _ in range(_NEWTON_STEPS):
-        hess = np.empty((n, n))
-        for j, h in enumerate(_FD_STEP * np.maximum(np.abs(x), _FD_FLOOR)):
-            e = np.zeros(n)
-            e[j] = h
-            hess[:, j] = (grad(x + e) - grad(x - e)) / (2.0 * h)
-        calls += 2 * n
         eig, vec = np.linalg.eigh(0.5 * (hess + hess.T))
         eig = np.abs(eig)
         if not eig.max() > 0.0:
@@ -767,11 +781,11 @@ def _newton(pieces, x):
         flat = trial_value > f - _ROUND * abs(f)
         if flat and np.abs(trial - x).max() <= _STEP_FLOOR:
             break
-        trial_grad = grad(trial)
-        calls += 1
+        trial_grad, trial_hess = grad_hess(trial)
+        calls += 2 * n + 1
         if flat and np.abs(trial_grad).max() >= np.abs(g).max():
             break
-        x, f, g = trial, trial_value, trial_grad
+        x, f, g, hess = trial, trial_value, trial_grad, trial_hess
     return tuple(x.tolist()), f, calls
 
 

@@ -9,6 +9,7 @@ from remlab import (Classification, DataError, DesignSpec, FixedEffects,
                     GeneralDataset, VarianceParams, derive_seed, eblups,
                     experiment_catalog, fit_balanced, fit_general,
                     log_rl_dense_oracle, read_general_csv, simulate)
+from remlab.invivo import inflated_datasets, make_surrogate
 from remlab.reml_core import _chol, _general_moment_start, _GeneralPieces
 
 
@@ -149,6 +150,67 @@ class TestObjective:
             assert violation <= 1e-7
         else:
             assert violation >= 1e-5
+
+
+def cholesky_points(n, seed=8):
+    """n Cholesky points (l11, l21, l22), either sign of l11: a third inside,
+    a third within 1e-12..1e-3 of rho = +/-1 or on it, and a third with
+    lambda_c or lambda_s within 1e-12..1e-3 of 0 or at it."""
+    rng = np.random.default_rng(seed)
+    lc, ls = rng.uniform(0.0, 2.0, (2, n))
+    rho = rng.uniform(-1.0, 1.0, n)
+    tiny = np.where(rng.random(n) < 0.25, 0.0, 10.0 ** rng.uniform(-12.0, -3.0, n))
+    third = n // 3
+    rho[third:2 * third] = np.sign(rho[third:2 * third]) * (1.0 - tiny[third:2 * third])
+    lc[2 * third::2], ls[2 * third + 1::2] = tiny[2 * third::2], tiny[2 * third + 1::2]
+    lc *= rng.choice([-1.0, 1.0], n)
+    return np.column_stack([lc, rho * ls, ls * np.sqrt(1.0 - rho * rho)])
+
+
+class TestBatchedGradient:
+    @pytest.mark.parametrize("which", ["unbalanced", "extra_column", "surrogate"])
+    def test_stack_matches_single_points(self, which):
+        data = unbalanced_dataset(seed=17)
+        if which == "extra_column":
+            data = with_extra_column(data, 5)
+        elif which == "surrogate":
+            data = make_surrogate().to_general()
+        pieces = _GeneralPieces(data)
+        l = cholesky_points(2000)
+        stacked = pieces.sigma_gradient(l)
+        assert stacked.shape == (2000, 2, 2)
+        for point, m in zip(l, stacked):
+            single = pieces.sigma_gradient(point)
+            assert single.shape == (2, 2)
+            assert np.abs(m - single).max() <= 1e-12 * np.abs(single).max()
+
+    def test_n_evals_counts_every_point(self, monkeypatch):
+        # a GOOD fit, a rho = +1 facet fit and a zero-corner fit: n_evals is
+        # the number of points at which the objective or the gradient was
+        # evaluated, every point of a stack counted
+        sweep = [data for _, data in inflated_datasets(make_surrogate(), [1.0, 2.0, 3.0])]
+        points = []
+        value, gradient = _GeneralPieces._value, _GeneralPieces.sigma_gradient
+
+        def counted_value(self, l):
+            points.append(1)
+            return value(self, l)
+
+        def counted_gradient(self, l):
+            points.append(np.size(l) // 3)
+            return gradient(self, l)
+
+        monkeypatch.setattr(_GeneralPieces, "_value", counted_value)
+        monkeypatch.setattr(_GeneralPieces, "sigma_gradient", counted_gradient)
+        fits = []
+        for data in sweep:
+            points.clear()
+            fits.append(fit_general(data))
+            assert fits[-1].n_evals == sum(points)
+        assert [f.classification for f in fits] == [
+            Classification.GOOD, Classification.RHO_PLUS_ONE,
+            Classification.ZERO_VARIANCE]
+        assert fits[2].params.sigma2_c == fits[2].params.sigma2_s == 0.0
 
 
 def lstsq_moment_start(data):

@@ -111,6 +111,26 @@ class TestValidation:
         with pytest.raises(DataError, match="varies within"):
             HmoDataset(**cols)
 
+    def test_names_the_first_varying_state_in_file_order(self):
+        # 'z' varies before 'a' in the file though it sorts after it, and
+        # new_england varies in the earlier state 'm': exp_per_admission is
+        # checked first
+        cols = dict(
+            state=np.array(["m", "m", "z", "z", "a", "a"]),
+            premium=np.arange(1.0, 7.0),
+            families=np.full(6, 10),
+            exp_per_admission=np.array([5.0, 5.0, 6.0, 6.5, 7.0, 7.5]),
+            new_england=np.array([1, -1, 1, 1, -1, -1]))
+        with pytest.raises(DataError) as err:
+            HmoDataset(**cols)
+        assert str(err.value) == ("state-level column 'exp_per_admission' "
+                                  "varies within state 'z'")
+        cols["exp_per_admission"] = np.array([5.0, 5.0, 6.0, 6.0, 7.0, 7.0])
+        with pytest.raises(DataError) as err:
+            HmoDataset(**cols)
+        assert str(err.value) == ("state-level column 'new_england' "
+                                  "varies within state 'm'")
+
     def test_length_mismatch(self):
         cols = self._columns()
         cols["families"] = np.array([10, 20, 30])

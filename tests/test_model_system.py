@@ -1,6 +1,7 @@
 """Tests for the balanced model system: grids, simulation, statistics, CSV."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from remlab import (DataError, DegenerateDataError, DesignSpec, FixedEffects,
-                    VarianceParams, build_h, derive_seed, experiment_catalog,
-                    factorial_grid, fit_balanced, moment_q, read_dataset_csv,
-                    simulate, simulate_stats, sufficient_stats,
-                    write_dataset_csv)
+                    GeneralDataset, VarianceParams, build_h, derive_seed,
+                    experiment_catalog, factorial_grid, fit_balanced,
+                    make_surrogate, moment_q, read_dataset_csv, simulate,
+                    simulate_stats, sufficient_stats, write_dataset_csv)
 
 MASTER = 20260825
 
@@ -321,3 +322,25 @@ class TestDatasetCsv:
         write_dataset_csv(data, path)
         back = read_dataset_csv(path)
         np.testing.assert_array_equal(back.y, data.y)
+
+
+# ---------------------------------------------------------------------------
+# Array-holding dataclasses
+# ---------------------------------------------------------------------------
+
+
+class TestArrayHolders:
+    def test_equality_is_identity_and_hash_works(self, medium_dataset):
+        # the generated == and hash over ndarray fields would raise
+        # (ambiguous truth value, unhashable array); these types compare by
+        # identity instead
+        general = GeneralDataset.from_balanced(medium_dataset)
+        stats = sufficient_stats(medium_dataset)
+        hmo = make_surrogate()
+        for obj, twin in (
+                (medium_dataset, replace(medium_dataset, y=medium_dataset.y.copy())),
+                (stats, replace(stats, t_outer=stats.t_outer.copy())),
+                (general, replace(general, y=general.y.copy())),
+                (hmo, replace(hmo, premium=hmo.premium.copy()))):
+            assert (obj == twin) is False and (obj == obj) is True
+            assert hash(obj) == hash(obj) and isinstance(hash(twin), int)
