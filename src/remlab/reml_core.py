@@ -22,9 +22,10 @@ Sigma_rel = LL', the random-effect covariance relative to the error
 variance; the error variance then has a closed-form profile.  Every L gives
 a positive semidefinite Sigma_rel, so one unbounded Newton search covers
 the closed parameter space, with rho = +/-1 and zero variances as ordinary
-points, and a search on the rank-1 facet finishes fits that end there.
-``FitResult.converged`` reports an optimality certificate in Sigma space,
-so a fit that stops short of the maximiser is flagged also on a boundary.
+points.  ``FitResult.converged`` reports an optimality certificate in Sigma
+space, so a fit that stops short of the maximiser is flagged also on a
+boundary; only when that search ends uncertified does a second search on
+the rank-1 facet run.
 
 With a random-effect variance at zero the correlation is unidentified, so
 ``FitResult.rho_hat`` reports it as NaN on a ZERO_VARIANCE fit.
@@ -493,14 +494,11 @@ class _GeneralPieces:
         self.c = np.stack([[c00, c01], [c01, c11]]).transpose(2, 0, 1)
         self.c_sum = self.c.sum(axis=0)
         self.csc = _sym_products(self.c[:, :, 0], self.c[:, :, 1])
-        one, zero = np.ones(k), np.zeros(k)
-        self.lin = np.block([
-            [one, zero, zero, zero],
-            [c00, one, zero, zero],
-            [c01, zero, one, zero],
-            [c11, zero, zero, one],
-            [c00 * c11 - c01 * c01, c11, -2.0 * c01, c00],
-        ])
+        lin = np.zeros((5, 4, k))  # rows (1, a, 2b, c, det Sigma), column blocks (d, S)
+        lin[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+        lin[1:4, 0] = c00, c01, c11
+        lin[4] = c00 * c11 - c01 * c01, c11, -2.0 * c01, c00
+        self.lin = lin.reshape(5, 4 * k)
 
         z0, z1 = np.add.reduceat(xy, self.starts), np.add.reduceat(x[:, None] * xy, self.starts)
         self.z = np.stack([z0, z1], axis=1)  # (k, 2, p + 1)
@@ -514,15 +512,17 @@ class _GeneralPieces:
     def _s(self, l):
         """d_k = det(I + C_k Sigma) and the weights (S00, 2 S01, S11), shape ([B,] 3, k).
 
-        l is one point (3,) or a stack of points (B, 3), as in
-        ``sigma_gradient``, and ``_gls`` takes the weights of either.  Products
-        with the stored pieces are stacks of row-vector products
+        l is one point (l11, l21, l22), unpacked as floats, or the three
+        columns of a stack of B points, each of shape (B,), as
+        ``sigma_gradient`` passes them; ``_gls`` takes the weights of either.
+        Products with the stored pieces are stacks of row-vector products
         (``[..., None, :] @``), so a point rounds in a stack as it does alone.
         """
-        l11, l21, l22 = np.asarray(l, dtype=float).T
-        coef = np.array([np.ones(l11.shape), l11 * l11, 2.0 * l11 * l21,
-                         l21 * l21 + l22 * l22, (l11 * l22) ** 2])
-        out = (coef.T[..., None, :] @ self.lin).reshape(l11.shape + (4, self.k))
+        l11, l21, l22 = l
+        root_det = l11 * l22  # det Sigma = (l11 l22)^2; l11 ** 0.0 is 1 in l11's shape
+        coef = np.array([l11 ** 0.0, l11 * l11, 2.0 * l11 * l21, l21 * l21 + l22 * l22,
+                         root_det * root_det])
+        out = (coef.T[..., None, :] @ self.lin).reshape(coef.shape[1:] + (4, self.k))
         return out[..., 0, :], out[..., 1:, :] / out[..., :1, :]
 
     def _gls_matrix(self, w):
@@ -578,7 +578,7 @@ class _GeneralPieces:
         stack of points (B, 3) gives a stack of M, shape (B, 2, 2).
         """
         p = self.p
-        w = self._s(l)[1]
+        w = self._s(np.transpose(l))[1]
         batch = w.shape[:-2]
         xvx_inv, beta, rss = self._gls(w)
         s00, s01, s11 = w[..., 0, :, None], 0.5 * w[..., 1, :, None], w[..., 2, :, None]
@@ -628,13 +628,16 @@ def fit_general(data, options=None):
     lme4 does (Bates, Maechler, Bolker & Walker 2015, J. Stat. Softw. 67(1)):
     every L gives a positive semidefinite Sigma_rel, so the search needs no
     bounds and reaches rho = +/-1 and zero variances as ordinary points.
-    A modified Newton search (``_newton``) from the moment start is followed
-    by the same search on the rank-1 facet l22 = 0, and the better of the
-    two wins.  A lambda or rho that the tolerances call a boundary is then
-    set onto it (``_snap``).
+    A modified Newton search (``_newton``) runs from the moment start.  Its
+    end point is tested with the optimality certificate of ``_certified``;
+    only if the test fails does the same search run on the rank-1 facet
+    l22 = 0 from the end point's (l11, l21), and the better of the two
+    wins.  A lambda or rho that the tolerances call a boundary is then set
+    onto it (``_snap``).
 
-    converged is the optimality certificate of ``_certified`` at the
-    returned point.  n_evals counts the points at which the objective
+    converged is the certificate at the returned point: the first test's
+    result when neither the facet nor ``_snap`` moved the point, else a
+    new test.  n_evals counts the points at which the objective
     (``_value``) or the Sigma-space gradient (``sigma_gradient``) was
     evaluated, each point of a batched call included.
 
@@ -649,15 +652,24 @@ def fit_general(data, options=None):
     if not pieces._value(start) < 1e30:
         raise DegenerateDataError("restricted likelihood is unusable at the starting point")
     full, full_value, n_evals = _newton(pieces, start)
-    facet, facet_value, n_facet = _newton(pieces, full[:2])
-    n_evals += n_facet
-    theta = _snap(_theta(facet + (0.0,) if facet_value <= full_value else full), opts.tolerances)
+    tested = _theta(full)
+    converged = _certified(pieces, tested)
+    theta = tested
+    if not converged:
+        facet, facet_value, n_facet = _newton(pieces, full[:2])
+        n_evals += n_facet
+        if facet_value <= full_value:
+            theta = _theta(facet + (0.0,))
+    theta = _snap(theta, opts.tolerances)
+    if theta != tested:
+        converged = _certified(pieces, theta)
+        n_evals += 1
     l = _chol(theta)
     value = pieces._value(l)
     if not value < 1e30:
         raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
     _, beta, rss = pieces._gls(pieces._s(l)[1])
-    n_evals += 3  # the start, the returned point and its certificate
+    n_evals += 3  # the start, the certificate at the full search's end and the returned point
     s2e = float(rss) / pieces.dof
     lc, ls, rho = theta
     vp = VarianceParams(
@@ -667,7 +679,7 @@ def fit_general(data, options=None):
         params=vp,
         classification=classify(vp, opts.tolerances),
         log_rl=float(-value + 0.5 * pieces.logdet_xtx),
-        converged=_certified(pieces, theta),
+        converged=converged,
         n_evals=n_evals,
         boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, opts.tolerances),
         beta=beta,
@@ -809,12 +821,15 @@ def _general_moment_start(pieces, data):
     s2e0 = rss / df if df > 0 and rss > 0 else max(float(np.var(data.y)), 1e-8)
     if a.size < 3:
         return 0.5, 0.5, 0.0
-    excess = np.var([a, b], axis=1, ddof=1) - s2e0
+    centred = np.stack([a, b])
+    centred -= centred.mean(axis=1, keepdims=True)
+    (saa, sab), (_, sbb) = (centred @ centred.T).tolist()
+    excess = np.array([saa, sbb]) / (a.size - 1) - s2e0
     lam = np.where(excess > 0, np.sqrt(np.abs(excess) / s2e0), 0.3)
     lc0, ls0 = lam.clip(1e-3, 0.9 * _LAMBDA_MAX)
     rho0 = 0.0
-    if np.std(a) > 0 and np.std(b) > 0:
-        rho0 = min(max(float(np.corrcoef(a, b)[0, 1]), -0.9), 0.9)
+    if saa > 0 and sbb > 0:
+        rho0 = min(max(sab / math.sqrt(saa) / math.sqrt(sbb), -0.9), 0.9)
     return float(lc0), float(ls0), rho0
 
 

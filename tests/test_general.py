@@ -9,8 +9,9 @@ from remlab import (Classification, DataError, DesignSpec, FixedEffects,
                     GeneralDataset, VarianceParams, derive_seed, eblups,
                     experiment_catalog, fit_balanced, fit_general,
                     log_rl_dense_oracle, read_general_csv, simulate)
-from remlab.invivo import inflated_datasets, make_surrogate
-from remlab.reml_core import _chol, _general_moment_start, _GeneralPieces
+from remlab import reml_core
+from remlab.invivo import default_phi_grid, inflated_datasets, make_surrogate
+from remlab.reml_core import _chol, _general_moment_start, _GeneralPieces, _newton
 
 
 def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
@@ -366,6 +367,71 @@ class TestEngineAgreement:
             xtvy += X.T @ Vi @ y
         np.testing.assert_allclose(fit.beta, np.linalg.solve(xtvx, xtvy),
                                    rtol=1e-8)
+
+
+SIGMAS = [None, VarianceParams(8.0, 0.5, 0.3, 0.0),
+          VarianceParams(1.0, 2.0, 0.2, 0.8), VarianceParams(4.0, 0.2, 1.0, -0.9)]
+
+
+def fit_corpus(which):
+    """(name, dataset) pairs: replicate 0 of every catalog setting viewed as
+    general data, ``unbalanced_dataset`` seeds 0-39 at four variance
+    settings, or the 21 refits of the default surrogate sweep."""
+    if which == "catalog":
+        return [(st.id, GeneralDataset.from_balanced(simulate(
+            st.design, FixedEffects(0.0, 0.0), st.variance_params,
+            derive_seed(20260825, st.id, 0)))) for st in experiment_catalog()]
+    if which == "unbalanced":
+        return [((seed, j), unbalanced_dataset(seed=seed, sigma=sigma))
+                for j, sigma in enumerate(SIGMAS) for seed in range(40)]
+    return list(inflated_datasets(make_surrogate(), default_phi_grid()))
+
+
+@pytest.fixture
+def newton_runs(monkeypatch):
+    """The (pieces, result) of every ``_newton`` run inside ``fit_general``."""
+    runs = []
+
+    def recorded(pieces, x):
+        runs.append((pieces, _newton(pieces, x)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(reml_core, "_newton", recorded)
+    return runs
+
+
+class TestFacetSearch:
+    @pytest.mark.parametrize("which", ["catalog", "unbalanced", "sweep"])
+    def test_skipped_facet_search_finds_nothing_better(self, which, newton_runs):
+        # fit_general runs the rank-1 facet search only when the full
+        # search ends uncertified; where it was skipped, running it must not
+        # find a lower objective than the fit's
+        misses, skipped = [], 0
+        for name, data in fit_corpus(which):
+            newton_runs.clear()
+            fit = fit_general(data)
+            if len(newton_runs) > 1:
+                continue
+            skipped += 1
+            [(pieces, (full, _, _))] = newton_runs
+            fit_value = 0.5 * pieces.logdet_xtx - fit.log_rl
+            facet_value = _newton(pieces, full[:2])[1]
+            if facet_value < fit_value - 1e-12 * abs(fit_value):
+                misses.append((name, fit_value - facet_value))
+        assert skipped > 0 and not misses
+
+    def test_facet_search_runs_only_after_an_uncertified_search(self, newton_runs):
+        # the phi = 1 sweep fit is certified where the full search ends;
+        # catalog G19's full search stops at the step cap uncertified
+        [(phi, sweep_start), *_] = fit_corpus("sweep")
+        [g19] = [data for name, data in fit_corpus("catalog") if name == "G19"]
+        assert phi == 1.0
+        newton_runs.clear()
+        fit_general(sweep_start)
+        assert len(newton_runs) == 1
+        newton_runs.clear()
+        fit = fit_general(g19)
+        assert len(newton_runs) == 2 and fit.converged
 
 
 class TestEblups:
