@@ -300,47 +300,73 @@ def default_phi_grid(start: float = 1.0, end: float = 3.0,
     crossings on the surrogate: GOOD -> RHO_PLUS_ONE at phi ~ 1.899 and
     RHO_PLUS_ONE -> ZERO_VARIANCE at phi ~ 2.626.
     """
-    if end < start or step <= 0:
+    if not all(map(math.isfinite, (start, end, step))) or end < start or step <= 0:
         raise ValueError("bad phi range")
     n_steps = int(round((end - start) / step))
     phis = [round(start + k * step, 10) for k in range(n_steps + 1)]
     return [p for p in phis if p <= end + 1e-12]
 
 
-def inflated_datasets(data: HmoDataset, phis,
-                      options: FitOptions | None = None):
-    """Yield (phi, dataset) for each phi: the data that `phi_sweep` refits.
+def _inflation(data: HmoDataset, phis, options: FitOptions | None):
+    """The baseline fit and the (phi, dataset) pairs of `inflated_datasets`.
 
-    The baseline fit's fitted values include the cluster-level random
-    effects (shrunken predictions), so the inflated response is
-    fit + phi * residual; phi = 1 reproduces the original data exactly.
+    Every phi is checked before the baseline fit runs.
     """
+    phis = [float(phi) for phi in phis]
+    if not all(math.isfinite(phi) and phi >= 1.0 for phi in phis):
+        raise ValueError("phi must be finite and >= 1")
     gen = data.to_general()
     base = fit_general(gen, options)
     u = np.repeat(eblups(base, gen), gen.sizes, axis=0)
     fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
     residual = gen.y - fitted
-    for phi in phis:
-        phi = float(phi)
-        if phi < 1.0:
-            raise ValueError("phi must be >= 1")
-        yield phi, replace(gen, y=fitted + phi * residual)
+    return base, ((phi, replace(gen, y=fitted + phi * residual)) for phi in phis)
+
+
+def inflated_datasets(data: HmoDataset, phis,
+                      options: FitOptions | None = None):
+    """The (phi, dataset) pairs that `phi_sweep` refits, one per phi.
+
+    The baseline fit's fitted values include the cluster-level random
+    effects (shrunken predictions), so the inflated response is
+    fit + phi * residual; phi = 1 reproduces the original data exactly.
+    Raises ValueError before the baseline fit if any phi is not finite
+    or is below 1; the datasets are built as they are iterated.
+    """
+    return _inflation(data, phis, options)[1]
+
+
+def _fit_theta(fit: FitResult) -> tuple[float, float, float]:
+    """(lambda_c, lambda_s, rho) of a fit: the start that `fit_general` takes."""
+    p = fit.params
+    return math.sqrt(p.sigma2_c / p.sigma2_e), math.sqrt(p.sigma2_s / p.sigma2_e), p.rho
 
 
 def phi_sweep(data: HmoDataset, phis=None,
               options: FitOptions | None = None) -> list[InvivoRow]:
     """Refit the model with residuals inflated by each phi in the grid.
 
-    See `inflated_datasets` for the refitted data.
+    See `inflated_datasets` for the refitted data.  The sweep is a
+    continuation in phi: the baseline fit counts as the fit at phi = 1,
+    and each refit starts (`fit_general`'s start) at the secant prediction
+    through the last two fits, theta_1 + (phi - phi_1) / (phi_1 - phi_0)
+    (theta_1 - theta_0), or at the last fit's theta where phi_0 = phi_1.
+    A start only decides where the search begins: a search from it that
+    ends uncertified is replaced by the fit from the moment start.
 
     Returns:
         One InvivoRow per phi, in grid order.
     """
     if phis is None:
         phis = default_phi_grid()
+    base, datasets = _inflation(data, phis, options)
+    phi0, theta0 = phi1, theta1 = 1.0, _fit_theta(base)
     rows: list[InvivoRow] = []
-    for phi, inflated in inflated_datasets(data, phis, options):
-        fit = fit_general(inflated, options)
+    for phi, inflated in datasets:
+        ratio = (phi - phi1) / (phi1 - phi0) if phi1 != phi0 else 0.0
+        fit = fit_general(inflated, options, start=tuple(
+            b + ratio * (b - a) for a, b in zip(theta0, theta1)))
+        (phi0, theta0), (phi1, theta1) = (phi1, theta1), (phi, _fit_theta(fit))
         p = fit.params
         rows.append(InvivoRow(
             phi=phi, rho_hat=fit.rho_hat, sigma2_e=p.sigma2_e,

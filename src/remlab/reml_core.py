@@ -621,7 +621,7 @@ def _theta(l):
     return lc, ls, math.copysign(1.0, l11) * l21 / ls if lc > 0.0 and ls > 0.0 else 0.0
 
 
-def fit_general(data, options=None):
+def fit_general(data, options=None, start=None):
     """Maximise the restricted likelihood of an unbalanced dataset.
 
     The search runs in the relative Cholesky factor L of Sigma_rel = LL', as
@@ -635,11 +635,19 @@ def fit_general(data, options=None):
     wins.  A lambda or rho that the tolerances call a boundary is then set
     onto it (``_snap``).
 
+    start, a theta = (lambda_c, lambda_s, rho) such as the fit of nearby
+    data, replaces the moment start of the first search.  Both starts are
+    clipped into the same box (``_boxed``), so a start on rho = +/-1 or a
+    zero variance begins inside the cone.  If the search from start ends
+    uncertified, it is discarded and the fit runs as without start: moment
+    start, facet search, ``_snap``.
+
     converged is the certificate at the returned point: the first test's
     result when neither the facet nor ``_snap`` moved the point, else a
     new test.  n_evals counts the points at which the objective
     (``_value``) or the Sigma-space gradient (``sigma_gradient``) was
-    evaluated, each point of a batched call included.
+    evaluated, each point of a batched call included, and those of a
+    discarded search from start.
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
@@ -647,13 +655,16 @@ def fit_general(data, options=None):
     """
     opts = options or FitOptions()
     pieces = _GeneralPieces(data)
-
-    start = _chol(_general_moment_start(pieces, data))
-    if not pieces._value(start) < 1e30:
-        raise DegenerateDataError("restricted likelihood is unusable at the starting point")
-    full, full_value, n_evals = _newton(pieces, start)
+    n_evals, converged = 0, False
+    if start is not None:
+        full, full_value, n_evals, converged = _search(pieces, _boxed(start))
+    if not converged:
+        full, full_value, n_cold, converged = _search(
+            pieces, _general_moment_start(pieces, data))
+        n_evals += n_cold
+        if not full_value < 1e30:
+            raise DegenerateDataError("restricted likelihood is unusable at the starting point")
     tested = _theta(full)
-    converged = _certified(pieces, tested)
     theta = tested
     if not converged:
         facet, facet_value, n_facet = _newton(pieces, full[:2])
@@ -669,7 +680,7 @@ def fit_general(data, options=None):
     if not value < 1e30:
         raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
     _, beta, rss = pieces._gls(pieces._s(l)[1])
-    n_evals += 3  # the start, the certificate at the full search's end and the returned point
+    n_evals += 1  # the returned point
     s2e = float(rss) / pieces.dof
     lc, ls, rho = theta
     vp = VarianceParams(
@@ -713,6 +724,32 @@ def _certified(pieces, theta):
         and np.abs(m @ sigma).max() <= _CERT_TOL
         and max(lc, ls) < _LAMBDA_MAX
     )
+
+
+def _boxed(theta):
+    """theta clipped into the starting box lambda in [1e-3, 0.9 _LAMBDA_MAX], |rho| <= 0.9.
+
+    On rho = +/-1 (l22 = 0) the gradient in l22, 2 m11 l22, is exactly 0,
+    so a search started there could never leave that facet; at the zero
+    corner L = 0 the whole gradient is 0.
+    """
+    lc, ls, rho = theta
+    return (min(max(lc, 1e-3), 0.9 * _LAMBDA_MAX), min(max(ls, 1e-3), 0.9 * _LAMBDA_MAX),
+            min(max(rho, -0.9), 0.9))
+
+
+def _search(pieces, theta):
+    """The full Newton search from theta and the certificate at its end.
+
+    Returns (end point, its value, points evaluated, certified); where the
+    value is unusable at theta, the search is skipped and theta's point is
+    returned uncertified with value 1e30.
+    """
+    x = _chol(theta)
+    if not pieces._value(x) < 1e30:
+        return x, 1e30, 1, False
+    end, value, n = _newton(pieces, x)
+    return end, value, n + 2, _certified(pieces, _theta(end))
 
 
 def _snap(theta, tol):
@@ -826,11 +863,8 @@ def _general_moment_start(pieces, data):
     (saa, sab), (_, sbb) = (centred @ centred.T).tolist()
     excess = np.array([saa, sbb]) / (a.size - 1) - s2e0
     lam = np.where(excess > 0, np.sqrt(np.abs(excess) / s2e0), 0.3)
-    lc0, ls0 = lam.clip(1e-3, 0.9 * _LAMBDA_MAX)
-    rho0 = 0.0
-    if saa > 0 and sbb > 0:
-        rho0 = min(max(sab / math.sqrt(saa) / math.sqrt(sbb), -0.9), 0.9)
-    return float(lc0), float(ls0), rho0
+    rho0 = sab / math.sqrt(saa) / math.sqrt(sbb) if saa > 0 and sbb > 0 else 0.0
+    return _boxed((*lam.tolist(), rho0))
 
 
 def eblups(fit, data):

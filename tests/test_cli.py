@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from remlab.cli import main
 
 
@@ -274,6 +276,13 @@ class TestInvivoCommand:
             assert code == 0
             with open(sweep, newline="") as fh:
                 assert len(list(csv.DictReader(fh))) == n_rows
+
+    @pytest.mark.parametrize("end", ["inf", "nan"])
+    def test_non_finite_phi_end_is_usage_error(self, capsys, tmp_path, end):
+        code, _, err = run_cli(capsys, "invivo", "--surrogate",
+                               "--phi-end", end, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "usage error: bad phi range" in err
 
     def test_config_rejects_switch(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

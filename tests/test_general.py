@@ -1,6 +1,7 @@
 """Tests for the general (unbalanced) restricted-likelihood engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from remlab import (Classification, DataError, DesignSpec, FixedEffects,
                     log_rl_dense_oracle, read_general_csv, simulate)
 from remlab import reml_core
 from remlab.invivo import default_phi_grid, inflated_datasets, make_surrogate
-from remlab.reml_core import _chol, _general_moment_start, _GeneralPieces, _newton
+from remlab.reml_core import (_chol, _general_moment_start, _GeneralPieces, _newton,
+                              _theta)
 
 
 def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
@@ -432,6 +434,55 @@ class TestFacetSearch:
         newton_runs.clear()
         fit = fit_general(g19)
         assert len(newton_runs) == 2 and fit.converged
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("start, boxed", [
+        ((0.0, 0.5, 1.0), (1e-3, 0.5, 0.9)),
+        ((0.0, 0.0, 0.0), (1e-3, 1e-3, 0.0)),
+        ((5e3, 2.0, -1.0), (900.0, 2.0, -0.9))])
+    def test_uncertified_warm_search_falls_back(self, start, boxed, newton_runs,
+                                                monkeypatch):
+        # a start on rho = +/-1, a zero variance or past the lambda cap is
+        # clipped into the moment start's box; a warm search that ends
+        # uncertified is discarded, and the fit is the cold fit, its points
+        # counted too
+        [(_, data)] = inflated_datasets(make_surrogate(), [2.0])
+        cold = fit_general(data)
+        certified, failed = reml_core._certified, []
+
+        def fails_once(pieces, theta):
+            passed = certified(pieces, theta)
+            if not failed:
+                failed.append(theta)
+                return False
+            return passed
+
+        monkeypatch.setattr(reml_core, "_certified", fails_once)
+        newton_runs.clear()
+        fit = fit_general(data, start=start)
+        warm_run = newton_runs[0][1]
+        assert len(newton_runs) > 1 and failed == [_theta(warm_run[0])]
+        assert _newton(_GeneralPieces(data), _chol(boxed)) == warm_run
+        # the discarded search's points: its start, its Newton points and
+        # its certificate
+        assert np.array_equal(fit.beta, cold.beta)
+        assert replace(fit, beta=None) == replace(
+            cold, beta=None, n_evals=cold.n_evals + 1 + warm_run[2] + 1)
+
+    def test_certified_warm_search_is_the_fit(self, newton_runs):
+        # started at the fit itself, the first full search ends certified,
+        # so no other search runs, and it takes fewer points than the cold fit
+        [(_, data)] = inflated_datasets(make_surrogate(), [2.0])
+        cold = fit_general(data)
+        p = cold.params
+        newton_runs.clear()
+        warm = fit_general(data, start=(math.sqrt(p.sigma2_c / p.sigma2_e),
+                                        math.sqrt(p.sigma2_s / p.sigma2_e), p.rho))
+        assert len(newton_runs) == 1
+        assert warm.classification is cold.classification and warm.converged
+        assert cold.log_rl - warm.log_rl <= 1e-12 * abs(cold.log_rl)
+        assert warm.n_evals < cold.n_evals
 
 
 class TestEblups:

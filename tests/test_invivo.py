@@ -8,6 +8,7 @@ import pytest
 
 from remlab import (Classification, HmoDataset, fit_hmo, ingest_hmo,
                     make_surrogate, phi_sweep, write_hmo_csv)
+from remlab import invivo
 from remlab.errors import DataError
 from remlab.invivo import (default_phi_grid, inflated_datasets,
                            write_sweep_csv)
@@ -284,9 +285,24 @@ class TestPhiSweep:
             Classification.RHO_PLUS_ONE] * 3 + [Classification.ZERO_VARIANCE]
         assert all(f.converged for f in fits)
 
-    def test_phi_below_one_rejected(self, surrogate):
-        with pytest.raises(ValueError, match="phi"):
-            phi_sweep(surrogate, phis=[0.5])
+    @pytest.mark.parametrize("start, end, step", [
+        (1.0, math.inf, 0.1), (1.0, math.nan, 0.1), (math.nan, 3.0, 0.1),
+        (-math.inf, 3.0, 0.1), (1.0, 3.0, math.inf), (1.0, 3.0, math.nan),
+        (3.0, 1.0, 0.1), (1.0, 3.0, 0.0)])
+    def test_bad_grid_rejected(self, start, end, step):
+        with pytest.raises(ValueError, match="bad phi range"):
+            default_phi_grid(start, end, step)
+
+    def test_phi_below_one_rejected(self, surrogate, monkeypatch):
+        # every phi is checked before the baseline fit runs
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the phi check")
+
+        monkeypatch.setattr(invivo, "fit_general", no_fit)
+        for phis in ([0.5], [1.0, 2.0, 0.5], [math.nan], [1.0, math.inf]):
+            for call in (phi_sweep, inflated_datasets):
+                with pytest.raises(ValueError, match="phi must be finite and >= 1"):
+                    call(surrogate, phis)
 
     def test_csv_output(self, surrogate, tmp_path):
         rows = phi_sweep(surrogate, phis=[1.0])
@@ -301,3 +317,44 @@ class TestPhiSweep:
         assert got[1][-1] == "surrogate"
         assert got[1][6] == "GOOD"
         assert float(got[1][0]) == 1.0
+
+
+def sweep_fits(monkeypatch, data, phis):
+    """The sweep's rows and every fit it made, the baseline fit first."""
+    fits = []
+
+    def recorded(*args, **kwargs):
+        fits.append(fit_general(*args, **kwargs))
+        return fits[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(invivo, "fit_general", recorded)
+        rows = phi_sweep(data, phis)
+    return rows, fits
+
+
+class TestWarmStartedSweep:
+    @pytest.mark.parametrize("seed", [None, *range(10)])
+    def test_same_fits_as_cold_starts(self, seed, monkeypatch):
+        # phi_sweep starts each refit from the fits before it; on the same
+        # data, a fit from the moment start finds the same maximiser: the
+        # default sweep, and surrogate seeds 0-9 on a wider, coarser grid
+        if seed is None:
+            data, phis = make_surrogate(), default_phi_grid()
+        else:
+            data, phis = make_surrogate(seed), default_phi_grid(1.0, 4.0, 0.3)
+        rows, fits = sweep_fits(monkeypatch, data, phis)
+        warm = fits[1:]
+        cold = [fit_general(d) for _, d in inflated_datasets(data, phis)]
+        assert len(warm) == len(cold) == len(rows) == len(phis)
+        assert [f.classification for f in warm] == [f.classification for f in cold]
+        assert [f.converged for f in warm] == [f.converged for f in cold]
+        for row, w, c in zip(rows, warm, cold):
+            assert c.log_rl - w.log_rl <= 1e-12 * abs(c.log_rl)
+            p, q = w.params, c.params
+            np.testing.assert_allclose(
+                [p.sigma2_e, p.sigma2_c, p.sigma2_s, p.rho],
+                [q.sigma2_e, q.sigma2_c, q.sigma2_s, q.rho], rtol=1e-9, atol=0.0)
+            assert (row.sigma2_e, row.sigma2_c, row.sigma2_s) == (
+                p.sigma2_e, p.sigma2_c, p.sigma2_s)
+        assert sum(f.n_evals for f in warm) < sum(f.n_evals for f in cold)
