@@ -28,7 +28,7 @@ _EXPORTS = {
         "predictor_plus_one", "predictor_sweep",
     ),
     "reml_core": (
-        "Classification", "ClassifyTolerances", "FitOptions", "FitResult", "GeneralDataset",
+        "Classification", "ClassifyTolerances", "FitResult", "GeneralDataset",
         "classify", "eblups", "fit_balanced", "fit_general", "log_restricted_likelihood",
         "log_rl_dense_oracle", "profile_sigma2_r", "profiled_log_rl", "profiled_rl_offset",
         "read_general_csv",

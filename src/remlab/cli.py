@@ -18,14 +18,13 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .errors import DataError
 from .model_system import (ClusteredDataset, DesignSpec, FixedEffects,
                            VarianceMode, VarianceParams, parse_dataset_rows,
                            simulate, write_dataset_csv)
-from .reml_core import (ClassifyTolerances, FitOptions, GeneralDataset,
-                        fit_balanced, fit_general)
+from .reml_core import (ClassifyTolerances, GeneralDataset, fit_balanced,
+                        fit_general)
 
 # predictor, experiments and invivo are imported by the subcommands that use
 # them: a `fit` process then never loads the experiment pool.
@@ -41,53 +40,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Run configuration
+# Shared flags and the config file
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Common knobs for commands that run fits."""
-
-    master_seed: int = 20260825
-    parallelism: int = 1
-    out_dir: str = "."
-    reps: int | None = None
-    rho_tol: float | None = None
-    var_ratio_tol: float | None = None
-
-    def validate(self) -> None:
-        if self.parallelism < 1:
-            raise UsageError("--parallelism must be >= 1")
-        if self.reps is not None and self.reps < 1:
-            raise UsageError("--reps must be >= 1")
-        for name in ("rho_tol", "var_ratio_tol"):
-            v = getattr(self, name)
-            if v is not None and not (v > 0):
-                raise UsageError(f"--{name.replace('_', '-')} must be > 0")
-
-    def fit_options(self) -> FitOptions | None:
-        tol = {name: v for name, v in (("rho", self.rho_tol),
-                                       ("variance_ratio", self.var_ratio_tol))
-               if v is not None}
-        return FitOptions(tolerances=ClassifyTolerances(**tol)) if tol else None
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
-    for dest in ("master_seed", "parallelism", "out_dir", "reps", "rho_tol",
-                 "var_ratio_tol"):
-        v = getattr(args, dest, None)
-        if v is not None:
-            setattr(cfg, dest, v)
-    cfg.validate()
-    return cfg
-
 
 def _apply_config_file(args) -> None:
     """Fill unset args from a KEY=VALUE config file; flags win.
 
     A key is the spelling of a flag that takes a value, without its leading
-    dashes; its value is converted as the flag converts it.
+    dashes; its value is converted as the flag converts it.  Such flags
+    default to None, so that an unset flag is told from one given at its
+    default value; each command resolves None to the default.
     """
     path = getattr(args, "config", None)
     if path is None:
@@ -119,21 +81,44 @@ def _apply_config_file(args) -> None:
                 raise DataError(f"config line {lineno}: {exc}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser, fits: bool = False) -> None:
-    """The shared flags; fits adds the tolerances that label a fit."""
-    p.add_argument("--seed", dest="master_seed", type=int, default=None,
-                   help="master seed (default 20260825)")
-    p.add_argument("--parallelism", type=int, default=None,
-                   help="worker processes (default 1)")
-    p.add_argument("--out-dir", default=None, help="output directory")
-    if fits:
-        p.add_argument("--rho-tol", type=float, default=None,
-                       help="boundary classification tolerance on rho")
-        p.add_argument("--var-ratio-tol", type=float, default=None,
-                       help="zero-variance threshold on sigma2_x/sigma2_e")
+_SHARED_FLAGS = {
+    "--seed": dict(dest="master_seed", type=int,
+                   help="master seed (default 20260825)"),
+    "--parallelism": dict(type=int, help="worker processes (default 1)"),
+    "--out-dir": dict(help="output directory (default .)"),
+    "--rho-tol": dict(type=float,
+                      help="boundary classification tolerance on rho"),
+    "--var-ratio-tol": dict(type=float,
+                            help="zero-variance threshold on sigma2_x/sigma2_e"),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    """The named flags of _SHARED_FLAGS, then --config."""
+    for flag in flags:
+        p.add_argument(flag, default=None, **_SHARED_FLAGS[flag])
     p.add_argument("--config", default=None,
                    help="KEY=VALUE config file; flags win over file values")
     p.set_defaults(config_parser=p)
+
+
+def _out_dir(args) -> str:
+    """The output directory, created if missing."""
+    out_dir = "." if args.out_dir is None else args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+def _tolerances(args) -> ClassifyTolerances:
+    tol = {}
+    for flag, name, v in (("--rho-tol", "rho", args.rho_tol),
+                          ("--var-ratio-tol", "variance_ratio",
+                           args.var_ratio_tol)):
+        if v is not None:
+            if not v > 0:
+                raise UsageError(f"{flag} must be > 0")
+            tol[name] = v
+    return ClassifyTolerances(**tol)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +167,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cfg = _config_from_args(args)
-    options = cfg.fit_options()
+    tol = _tolerances(args)
     fixed_columns: tuple = ()
     if args.fixed_spec is not None:
         try:
@@ -200,11 +184,11 @@ def _cmd_fit(args) -> int:
         except DataError:
             pass  # not balanced; the general engine takes the same rows
     if data is not None:
-        fit = fit_balanced(data, options)
+        fit = fit_balanced(data, tol)
         engine = "balanced"
     else:
         gen = GeneralDataset.from_rows(rows, fixed_columns)
-        fit = fit_general(gen, options)
+        fit = fit_general(gen, tol)
         engine = "general"
     fit.write_json(args.out)
     p = fit.params
@@ -227,21 +211,27 @@ def _cmd_experiment(args) -> int:
     from . import experiments as _ex
     from .predictor import predictor_sweep, write_sweep_csv
 
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    seed = 20260825 if args.master_seed is None else args.master_seed
+    parallelism = 1 if args.parallelism is None else args.parallelism
+    if parallelism < 1:
+        raise UsageError("--parallelism must be >= 1")
+    reps = args.reps
+    if reps is not None and reps < 1:
+        raise UsageError("--reps must be >= 1")
+    out_dir = _out_dir(args)
     name = args.name
 
     if name == "predictor-sweep":
-        n_draws = cfg.reps if cfg.reps is not None else 1000
-        table = predictor_sweep(cfg.master_seed, n_draws=n_draws)
-        out = os.path.join(cfg.out_dir, "predictor_sweep.csv")
+        n_draws = reps if reps is not None else 1000
+        table = predictor_sweep(seed, n_draws=n_draws)
+        out = os.path.join(out_dir, "predictor_sweep.csv")
         write_sweep_csv(table, out)
         print(f"wrote {len(table['draw'])} draws to {out}")
         return 0
 
     if name == "factorial":
         settings = _ex.factorial_grid(scale=args.scale,
-                                      reps=cfg.reps if cfg.reps else 40,
+                                      reps=reps if reps else 40,
                                       variance_mode=_variance_mode(args))
     else:
         settings = [st for st in _ex.experiment_catalog()
@@ -250,21 +240,20 @@ def _cmd_experiment(args) -> int:
             mode = _variance_mode(args)
             settings = [dataclasses.replace(st, variance_mode=mode)
                         for st in settings]
-        if cfg.reps is not None:
-            settings = _ex.with_reps(settings, cfg.reps)
+        if reps is not None:
+            settings = _ex.with_reps(settings, reps)
 
-    summaries, records = _ex.run_settings(settings, cfg.master_seed,
-                                          cfg.parallelism)
+    summaries, records = _ex.run_settings(settings, seed, parallelism)
     tag = name
-    sum_path = os.path.join(cfg.out_dir, f"experiment_{tag}_summary.csv")
-    rep_path = os.path.join(cfg.out_dir, f"experiment_{tag}_replicates.csv")
+    sum_path = os.path.join(out_dir, f"experiment_{tag}_summary.csv")
+    rep_path = os.path.join(out_dir, f"experiment_{tag}_replicates.csv")
     _ex.write_summary_csv(summaries, sum_path)
     _ex.write_replicate_csv(records, rep_path)
 
     if name == "factorial":
         for factor in ("n_clusters", "cluster_size", "rho"):
             rows = _ex.interaction_plot_data(summaries, factor)
-            path = os.path.join(cfg.out_dir, f"interaction_{factor}.csv")
+            path = os.path.join(out_dir, f"interaction_{factor}.csv")
             _ex.write_interaction_csv(rows, path)
         print(f"{len(settings)} settings -> {sum_path}")
     else:
@@ -294,8 +283,8 @@ def _variance_mode(args) -> VarianceMode:
 def _cmd_invivo(args) -> int:
     from . import invivo as _iv
 
-    cfg = _config_from_args(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    tol = _tolerances(args)
+    out_dir = _out_dir(args)
     if (args.data is None) == (not args.surrogate):
         raise UsageError("exactly one of --data or --surrogate is required")
     if args.data is not None:
@@ -310,8 +299,8 @@ def _cmd_invivo(args) -> int:
         phis = _iv.default_phi_grid(**grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    rows = _iv.phi_sweep(data, phis, cfg.fit_options())
-    out = args.out or os.path.join(cfg.out_dir, "invivo_sweep.csv")
+    rows = _iv.phi_sweep(data, phis, tol)
+    out = args.out or os.path.join(out_dir, "invivo_sweep.csv")
     _iv.write_sweep_csv(rows, out, data.source)
     print(f"source: {data.source}")
     print(f"{'phi':>5s} {'rho_hat':>8s} {'s2_e':>9s} {'s2_e/phi2':>9s} "
@@ -408,7 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fixed-spec", default=None,
                    help='JSON {"columns": [...]} of extra fixed-effect '
                         'columns; naming any selects the general engine')
-    _add_common(p, fits=True)
+    _add_shared(p, "--rho-tol", "--var-ratio-tol")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("experiment", help="run a cataloged experiment")
@@ -420,7 +409,7 @@ def build_parser() -> _Parser:
                    help="factorial grid subsampling factor")
     p.add_argument("--variance-mode", default=None,
                    choices=[m.value for m in VarianceMode])
-    _add_common(p)
+    _add_shared(p, "--seed", "--parallelism", "--out-dir")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("invivo", help="residual-inflation sweep")
@@ -435,7 +424,7 @@ def build_parser() -> _Parser:
     p.add_argument("--phi-step", type=float, default=None,
                    help="inflation factor step (default: the standard grid's)")
     p.add_argument("--out", default=None)
-    _add_common(p, fits=True)
+    _add_shared(p, "--out-dir", "--rho-tol", "--var-ratio-tol")
     p.set_defaults(func=_cmd_invivo)
 
     p = sub.add_parser("anova", help="mean squares for a results table")

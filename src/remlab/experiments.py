@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EstimabilityError
 from .model_system import DesignSpec, VarianceMode, VarianceParams, simulate_stats
 from .predictor import predictor_minus_one, predictor_plus_one
-from .reml_core import Classification, FitOptions, fit_balanced
+from .reml_core import Classification, fit_balanced
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,6 @@ class RepRecord:
     rho_hat: float
     classification: Classification
     log_rl: float
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -225,18 +224,18 @@ def derive_seed(master_seed: int, setting_id: str, rep: int) -> int:
     return int.from_bytes(digest[:_SEED_BYTES], "big")
 
 
-def run_replicate(setting: ExperimentSetting, master_seed: int, rep: int,
-                  options: FitOptions | None = None) -> RepRecord:
+def run_replicate(setting: ExperimentSetting, master_seed: int,
+                  rep: int) -> RepRecord:
     """Draw one replicate's statistics, fit them, and record the outcome."""
     seed = derive_seed(master_seed, setting.id, rep)
     stats = simulate_stats(setting.design, setting.variance_params, seed)
-    fit = fit_balanced(stats, options)
+    fit = fit_balanced(stats)
     p = fit.params
     return RepRecord(
         experiment=setting.experiment, setting=setting.id, rep=rep, seed=seed,
         sigma2_e=p.sigma2_e, sigma2_c=p.sigma2_c, sigma2_s=p.sigma2_s,
         rho_hat=fit.rho_hat, classification=fit.classification,
-        log_rl=fit.log_rl, converged=fit.converged)
+        log_rl=fit.log_rl)
 
 
 def _run_chunk(args) -> list[RepRecord]:
@@ -291,8 +290,11 @@ def run_setting(setting: ExperimentSetting, master_seed: int,
     return summaries[0], records
 
 
+_CHUNK_REPS = 25  # replicates per pool task
+
+
 def run_settings(settings: list[ExperimentSetting], master_seed: int,
-                 parallelism: int = 1, chunk_size: int = 25,
+                 parallelism: int = 1,
                  ) -> tuple[list[SettingSummary], list[RepRecord]]:
     """Run many settings, optionally across processes.
 
@@ -306,8 +308,8 @@ def run_settings(settings: list[ExperimentSetting], master_seed: int,
         raise ValueError("setting ids must be unique within a run")
     tasks = []
     for st in settings:
-        for lo in range(0, st.reps, chunk_size):
-            tasks.append((st, master_seed, lo, min(lo + chunk_size, st.reps)))
+        for lo in range(0, st.reps, _CHUNK_REPS):
+            tasks.append((st, master_seed, lo, min(lo + _CHUNK_REPS, st.reps)))
 
     if parallelism <= 1:
         chunks = [_run_chunk(t) for t in tasks]
@@ -562,7 +564,7 @@ SUMMARY_HEADER = ["experiment", "setting", "N", "s", "rho", "r", "reps",
                   "pct_bad", "mc_se_bad"]
 REPLICATE_HEADER = ["experiment", "setting", "rep", "seed", "sigma2_e",
                     "sigma2_c", "sigma2_s", "rho_hat", "classification",
-                    "log_rl", "converged"]
+                    "log_rl"]
 
 
 def write_summary_csv(summaries: list[SettingSummary], path) -> None:
@@ -588,8 +590,7 @@ def write_replicate_csv(records: list[RepRecord], path) -> None:
             w.writerow([r.experiment, r.setting, r.rep, r.seed,
                         repr(float(r.sigma2_e)), repr(float(r.sigma2_c)),
                         repr(float(r.sigma2_s)), repr(float(r.rho_hat)),
-                        r.classification.value, repr(float(r.log_rl)),
-                        int(r.converged)])
+                        r.classification.value, repr(float(r.log_rl))])
 
 
 def write_interaction_csv(rows: list[dict], path) -> None:

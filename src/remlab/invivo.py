@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .reml_core import (Classification, FitOptions, FitResult,
+from .model_system import VarianceParams
+from .reml_core import (Classification, ClassifyTolerances, FitResult,
                         GeneralDataset, eblups, fit_general)
 
 
@@ -173,6 +174,8 @@ def ingest_hmo(path, source: str = "canonical") -> HmoDataset:
                 ne.append(int(row[4]))
             except ValueError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
+            if not (math.isfinite(premium[-1]) and math.isfinite(expense[-1])):
+                raise DataError(f"line {lineno}: non-finite value")
     return HmoDataset(
         state=np.array(state), premium=np.array(premium),
         families=np.array(families), exp_per_admission=np.array(expense),
@@ -242,31 +245,25 @@ def make_surrogate(seed: int = _DEFAULT_SURROGATE_SEED) -> HmoDataset:
     ne_state = np.full(k, -1, dtype=int)
     ne_state[ne_states] = 1
 
-    state_col = np.repeat(np.array(labels), sizes)
-    exp_col = np.repeat(expenses_state, sizes)
-    ne_col = np.repeat(ne_state, sizes)
+    data = HmoDataset(
+        state=np.repeat(np.array(labels), sizes),
+        premium=np.zeros(int(sizes.sum())), families=families,
+        exp_per_admission=np.repeat(expenses_state, sizes),
+        new_england=np.repeat(ne_state, sizes), source="surrogate")
 
     # Standardize exactly as the fit will, then simulate the response.
-    logf = np.log10(families.astype(float))
-    z = (logf - logf.mean()) / logf.std(ddof=0)
-    e_std = (expenses_state - expenses_state.mean()) / expenses_state.std(ddof=0)
-    ne_std = (ne_state - ne_state.mean()) / ne_state.std(ddof=0)
-
+    z, e_std, ne_std = data.standardized_design()
     b0, b1, b_e, b_ne = _SURROGATE_BETA
-    s2e, s2c, s2s, rho = _SURROGATE_VARIANCE
-    chol = np.array([
-        [math.sqrt(s2c), 0.0],
-        [rho * math.sqrt(s2s), math.sqrt(s2s) * math.sqrt(1.0 - rho ** 2)]])
-    u = rng.standard_normal((k, 2)) @ chol.T
-    eps = rng.standard_normal(z.shape[0]) * math.sqrt(s2e)
+    vp = VarianceParams(*_SURROGATE_VARIANCE)
+    u = rng.standard_normal((k, 2)) @ vp.sigma_cholesky().T
+    eps = rng.standard_normal(z.shape[0]) * math.sqrt(vp.sigma2_e)
 
     state_idx = np.repeat(np.arange(k), sizes)
-    y = (b0 + b1 * z + b_e * e_std[state_idx] + b_ne * ne_std[state_idx]
+    e_col = np.array([e_std[lab] for lab in labels])[state_idx]
+    ne_col = np.array([ne_std[lab] for lab in labels])[state_idx]
+    y = (b0 + b1 * z + b_e * e_col + b_ne * ne_col
          + u[state_idx, 0] + u[state_idx, 1] * z + eps)
-
-    return HmoDataset(
-        state=state_col, premium=y, families=families,
-        exp_per_admission=exp_col, new_england=ne_col, source="surrogate")
+    return replace(data, premium=y)
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +284,12 @@ class InvivoRow:
 
 
 def fit_hmo(data: HmoDataset,
-            options: FitOptions | None = None) -> FitResult:
+            tol: ClassifyTolerances = ClassifyTolerances()) -> FitResult:
     """Fit the premium model by restricted maximum likelihood."""
-    return fit_general(data.to_general(), options)
+    return fit_general(data.to_general(), tol)
+
+
+_MAX_PHI_POINTS = 10_001  # at about 2 ms a refit, a sweep of 20 s
 
 
 def default_phi_grid(start: float = 1.0, end: float = 3.0,
@@ -298,16 +298,18 @@ def default_phi_grid(start: float = 1.0, end: float = 3.0,
 
     The standard grid, 1.0 to 3.0 in steps of 0.1, reaches past both
     crossings on the surrogate: GOOD -> RHO_PLUS_ONE at phi ~ 1.899 and
-    RHO_PLUS_ONE -> ZERO_VARIANCE at phi ~ 2.626.
+    RHO_PLUS_ONE -> ZERO_VARIANCE at phi ~ 2.626.  A range of more than
+    10,001 points is refused before any point is built.
     """
-    if not all(map(math.isfinite, (start, end, step))) or end < start or step <= 0:
+    if (not all(map(math.isfinite, (start, end, step))) or end < start or step <= 0
+            or not (end - start) / step < _MAX_PHI_POINTS - 0.5):
         raise ValueError("bad phi range")
     n_steps = int(round((end - start) / step))
     phis = [round(start + k * step, 10) for k in range(n_steps + 1)]
     return [p for p in phis if p <= end + 1e-12]
 
 
-def _inflation(data: HmoDataset, phis, options: FitOptions | None):
+def _inflation(data: HmoDataset, phis, tol: ClassifyTolerances):
     """The baseline fit and the (phi, dataset) pairs of `inflated_datasets`.
 
     Every phi is checked before the baseline fit runs.
@@ -316,7 +318,7 @@ def _inflation(data: HmoDataset, phis, options: FitOptions | None):
     if not all(math.isfinite(phi) and phi >= 1.0 for phi in phis):
         raise ValueError("phi must be finite and >= 1")
     gen = data.to_general()
-    base = fit_general(gen, options)
+    base = fit_general(gen, tol)
     u = np.repeat(eblups(base, gen), gen.sizes, axis=0)
     fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
     residual = gen.y - fitted
@@ -324,7 +326,7 @@ def _inflation(data: HmoDataset, phis, options: FitOptions | None):
 
 
 def inflated_datasets(data: HmoDataset, phis,
-                      options: FitOptions | None = None):
+                      tol: ClassifyTolerances = ClassifyTolerances()):
     """The (phi, dataset) pairs that `phi_sweep` refits, one per phi.
 
     The baseline fit's fitted values include the cluster-level random
@@ -333,7 +335,7 @@ def inflated_datasets(data: HmoDataset, phis,
     Raises ValueError before the baseline fit if any phi is not finite
     or is below 1; the datasets are built as they are iterated.
     """
-    return _inflation(data, phis, options)[1]
+    return _inflation(data, phis, tol)[1]
 
 
 def _fit_theta(fit: FitResult) -> tuple[float, float, float]:
@@ -343,7 +345,7 @@ def _fit_theta(fit: FitResult) -> tuple[float, float, float]:
 
 
 def phi_sweep(data: HmoDataset, phis=None,
-              options: FitOptions | None = None) -> list[InvivoRow]:
+              tol: ClassifyTolerances = ClassifyTolerances()) -> list[InvivoRow]:
     """Refit the model with residuals inflated by each phi in the grid.
 
     See `inflated_datasets` for the refitted data.  The sweep is a
@@ -359,12 +361,12 @@ def phi_sweep(data: HmoDataset, phis=None,
     """
     if phis is None:
         phis = default_phi_grid()
-    base, datasets = _inflation(data, phis, options)
+    base, datasets = _inflation(data, phis, tol)
     phi0, theta0 = phi1, theta1 = 1.0, _fit_theta(base)
     rows: list[InvivoRow] = []
     for phi, inflated in datasets:
         ratio = (phi - phi1) / (phi1 - phi0) if phi1 != phi0 else 0.0
-        fit = fit_general(inflated, options, start=tuple(
+        fit = fit_general(inflated, tol, start=tuple(
             b + ratio * (b - a) for a, b in zip(theta0, theta1)))
         (phi0, theta0), (phi1, theta1) = (phi1, theta1), (phi, _fit_theta(fit))
         p = fit.params

@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from .model_system import (
 __all__ = [
     "Classification",
     "ClassifyTolerances",
-    "FitOptions",
     "FitResult",
     "GeneralDataset",
     "log_restricted_likelihood",
@@ -212,25 +211,8 @@ def classify(vp, tol=ClassifyTolerances()):
 
 
 # ---------------------------------------------------------------------------
-# Fit options and results
+# Fit results
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Controls for the restricted-likelihood maximisers.
-
-    tolerances label the maximiser for both engines, and ``fit_general``
-    reports a fit that they call a boundary exactly on that boundary.
-    allow_degenerate lets ``fit_balanced`` fit data with rss = 0 by flooring
-    sigma2_e at 1e-12.
-    """
-
-    tolerances: ClassifyTolerances = field(default_factory=ClassifyTolerances)
-    allow_degenerate: bool = False
-
-
-_DEGENERATE_FLOOR = 1e-12  # sigma2_e floor under allow_degenerate
 
 
 @dataclass(frozen=True)
@@ -315,7 +297,7 @@ def _boundary_variance_tag(lc2, ls2, tol):
 # ---------------------------------------------------------------------------
 
 
-def fit_balanced(data, options=None):
+def fit_balanced(data, tol=ClassifyTolerances()):
     """Maximise the balanced restricted likelihood exactly.
 
     The maximiser over the closed parameter space is an eigenvalue truncation
@@ -325,27 +307,25 @@ def fit_balanced(data, options=None):
     sigma2_e pools rss with each eigenvalue below dfb * sigma2_e.  Pooling
     none gives the interior D Sigma D = T/dfb - sigma2_e I, pooling l2 gives
     rho = +/-1 with D Sigma D = (l1/dfb - sigma2_e) v1 v1', and pooling both
-    gives zero variances.  The profile in log sigma2_e is concave, so the
-    same truncation stays exact at a floored sigma2_e.
+    gives zero variances.
 
     Args:
         data: ClusteredDataset or SuffStats.
-        options: FitOptions; only tolerances and allow_degenerate are read.
+        tol: ClassifyTolerances that label the maximiser.
 
     Returns:
         FitResult; converged is True and n_evals is 1 (one likelihood call).
 
     Raises:
         DegenerateDataError: if the data carry no residual variation
-            (rss = 0), unless options.allow_degenerate floors sigma2_e.
+            (rss = 0).
     """
-    opts = options or FitOptions()
     ss = data if isinstance(data, SuffStats) else sufficient_stats(data)
     design = ss.design
     n, s, q = design.n_clusters, design.cluster_size, design.q
     dfw, dfb = n * (s - 2), n - 1
     rss = ss.rss
-    if rss <= 0.0 and not opts.allow_degenerate:
+    if rss <= 0.0:
         raise DegenerateDataError("no within-cluster residual variation (rss = 0)")
     a, b, c = float(ss.t_outer[0, 0]), float(ss.t_outer[0, 1]), float(ss.t_outer[1, 1])
     half_gap = math.hypot(0.5 * (a - c), b)
@@ -356,8 +336,6 @@ def fit_balanced(data, options=None):
         s2e = (rss + l2) / (dfw + dfb)
         if l1 / dfb <= s2e:
             s2e = (rss + l1 + l2) / (n * s - 2)
-    if rss <= 0.0:
-        s2e = max(s2e, _DEGENERATE_FLOOR)
 
     if l2 / dfb >= s2e:
         m_cc, m_ss = max(a / dfb - s2e, 0.0), max(c / dfb - s2e, 0.0)
@@ -376,13 +354,11 @@ def fit_balanced(data, options=None):
     vp = VarianceParams(sigma2_e=s2e, sigma2_c=m_cc / s, sigma2_s=m_ss / q, rho=rho)
     return FitResult(
         params=vp,
-        classification=classify(vp, opts.tolerances),
+        classification=classify(vp, tol),
         log_rl=log_restricted_likelihood(ss, vp),
         converged=True,
         n_evals=1,
-        boundary_variance=_boundary_variance_tag(
-            vp.sigma2_c / s2e, vp.sigma2_s / s2e, opts.tolerances
-        ),
+        boundary_variance=_boundary_variance_tag(vp.sigma2_c / s2e, vp.sigma2_s / s2e, tol),
     )
 
 
@@ -621,7 +597,7 @@ def _theta(l):
     return lc, ls, math.copysign(1.0, l11) * l21 / ls if lc > 0.0 and ls > 0.0 else 0.0
 
 
-def fit_general(data, options=None, start=None):
+def fit_general(data, tol=ClassifyTolerances(), start=None):
     """Maximise the restricted likelihood of an unbalanced dataset.
 
     The search runs in the relative Cholesky factor L of Sigma_rel = LL', as
@@ -632,8 +608,8 @@ def fit_general(data, options=None, start=None):
     end point is tested with the optimality certificate of ``_certified``;
     only if the test fails does the same search run on the rank-1 facet
     l22 = 0 from the end point's (l11, l21), and the better of the two
-    wins.  A lambda or rho that the tolerances call a boundary is then set
-    onto it (``_snap``).
+    wins.  A lambda or rho that tol calls a boundary is then set onto it
+    (``_snap``), and tol labels the result.
 
     start, a theta = (lambda_c, lambda_s, rho) such as the fit of nearby
     data, replaces the moment start of the first search.  Both starts are
@@ -653,7 +629,6 @@ def fit_general(data, options=None, start=None):
     convention as the balanced engine, so the two agree exactly on balanced
     data viewed through ``GeneralDataset.from_balanced``.
     """
-    opts = options or FitOptions()
     pieces = _GeneralPieces(data)
     n_evals, converged = 0, False
     if start is not None:
@@ -671,7 +646,7 @@ def fit_general(data, options=None, start=None):
         n_evals += n_facet
         if facet_value <= full_value:
             theta = _theta(facet + (0.0,))
-    theta = _snap(theta, opts.tolerances)
+    theta = _snap(theta, tol)
     if theta != tested:
         converged = _certified(pieces, theta)
         n_evals += 1
@@ -688,11 +663,11 @@ def fit_general(data, options=None, start=None):
     )
     return FitResult(
         params=vp,
-        classification=classify(vp, opts.tolerances),
+        classification=classify(vp, tol),
         log_rl=float(-value + 0.5 * pieces.logdet_xtx),
         converged=converged,
         n_evals=n_evals,
-        boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, opts.tolerances),
+        boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, tol),
         beta=beta,
     )
 

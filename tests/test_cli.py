@@ -6,6 +6,7 @@ import json
 import pytest
 
 from remlab.cli import main
+from remlab.invivo import make_surrogate, write_hmo_csv
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,39 @@ class TestExitCodes:
                                "--rho-tol", "0.9")
         assert code == 1
         assert "--rho-tol" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("fit", "--seed", "1"), "--seed"),
+        (("fit", "--parallelism", "2"), "--parallelism"),
+        (("fit", "--out-dir", "out"), "--out-dir"),
+        (("invivo", "--surrogate", "--seed", "7"), "--seed"),
+        (("invivo", "--surrogate", "--parallelism", "2"), "--parallelism"),
+    ])
+    def test_command_rejects_flags_it_does_not_read(self, capsys, tmp_path,
+                                                    argv, flag):
+        # fit runs no seeded or parallel work and writes only --out;
+        # invivo's surrogate has a fixed seed and its sweep is serial
+        if argv[0] == "fit":
+            argv += ("--data", str(tmp_path / "d.csv"),
+                     "--out", str(tmp_path / "o.json"))
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert flag in err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "seed"), ("fit", "parallelism"), ("fit", "out-dir"),
+        ("invivo", "seed"), ("invivo", "parallelism")])
+    def test_config_key_of_a_flag_the_command_lacks(self, capsys, tmp_path,
+                                                    command, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=5\n")
+        argv = {"fit": ("--data", str(tmp_path / "d.csv"),
+                        "--out", str(tmp_path / "o.json")),
+                "invivo": ("--surrogate",)}[command]
+        code, _, err = run_cli(capsys, command, *argv, "--config", str(cfg))
+        assert code == 2
+        assert f"unknown key {key!r}" in err
 
 
 class TestPredictorCommand:
@@ -133,7 +167,6 @@ class TestSimulateAndFit:
                                     "--out", str(out))
         assert code == 2
         assert "rss = 0" in err
-        assert "allow_degenerate" not in err  # no flag sets it
         assert "engine" not in stdout
         assert not out.exists()
 
@@ -292,6 +325,21 @@ class TestInvivoCommand:
                                "--config", str(cfg))
         assert code == 2
         assert "surrogate" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_premium_is_data_error(self, capsys, tmp_path, value):
+        path = tmp_path / "hmo.csv"
+        write_hmo_csv(make_surrogate(), path)
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[1] = value
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "invivo", "--data", str(path),
+                               "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "data error: line 6: non-finite value" in err
+        assert not (tmp_path / "invivo_sweep.csv").exists()
 
     def test_missing_premium_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "invivo", "--data",

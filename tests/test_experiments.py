@@ -106,7 +106,6 @@ class TestRunReplicate:
         assert rec.setting == "A1" and rec.rep == 0
         assert rec.seed == 10175005726451598581
         assert rec.classification is Classification.GOOD
-        assert rec.converged
         np.testing.assert_allclose(rec.sigma2_e, 10.023769726295017,
                                    rtol=1e-9)
         np.testing.assert_allclose(rec.sigma2_c, 0.8761020031833916,
@@ -137,7 +136,7 @@ class TestSummaries:
     def _fake_record(setting_id, rep, cls):
         return RepRecord("T", setting_id, rep, rep, 1.0, 1.0, 1.0,
                          math.nan if cls is Classification.ZERO_VARIANCE
-                         else 0.0, cls, -1.0, True)
+                         else 0.0, cls, -1.0)
 
     def test_hand_counts(self):
         st = ExperimentSetting("t1", "T", 100, 9, -0.5, 10.0, 8)
@@ -208,13 +207,14 @@ class TestSummaries:
 
 class TestRunSettings:
     def _small_settings(self):
-        return [ExperimentSetting("p1", "P", 20, 5, -0.5, 10.0, 12),
-                ExperimentSetting("p2", "P", 20, 5, 0.0, 100.0, 12)]
+        # 30 reps: each setting spans two pool tasks of 25 and 5
+        return [ExperimentSetting("p1", "P", 20, 5, -0.5, 10.0, 30),
+                ExperimentSetting("p2", "P", 20, 5, 0.0, 100.0, 30)]
 
     def test_parallelism_invariance(self, tmp_path):
         settings = self._small_settings()
-        sums1, recs1 = run_settings(settings, 77, parallelism=1, chunk_size=5)
-        sums2, recs2 = run_settings(settings, 77, parallelism=2, chunk_size=5)
+        sums1, recs1 = run_settings(settings, 77, parallelism=1)
+        sums2, recs2 = run_settings(settings, 77, parallelism=2)
         assert len(recs1) == len(recs2)
         for a, b in zip(recs1, recs2):
             # rho_hat is NaN on zero-variance fits, so compare via repr
@@ -232,9 +232,9 @@ class TestRunSettings:
 
     def test_records_sorted_and_complete(self):
         settings = self._small_settings()
-        _, recs = run_settings(settings, 77, chunk_size=5)
-        assert [r.setting for r in recs] == ["p1"] * 12 + ["p2"] * 12
-        assert [r.rep for r in recs[:12]] == list(range(12))
+        _, recs = run_settings(settings, 77)
+        assert [r.setting for r in recs] == ["p1"] * 30 + ["p2"] * 30
+        assert [r.rep for r in recs[:30]] == list(range(30))
         # seeds match the derivation rule
         for r in recs:
             assert r.seed == derive_seed(77, r.setting, r.rep)

@@ -160,6 +160,14 @@ class TestIngest:
         with pytest.raises(DataError, match="line 2"):
             ingest_hmo(path)
 
+    @pytest.mark.parametrize("row", ["a,nan,10,5.0,1", "a,inf,10,5.0,1",
+                                     "a,1.0,10,-inf,1", "a,1.0,10,NaN,1"])
+    def test_non_finite_value_with_line_number(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "a,1.0,10,5.0,1\n" + row + "\n")
+        with pytest.raises(DataError, match="line 3: non-finite value"):
+            ingest_hmo(path)
+
 
 class TestFit:
     def test_matches_general_engine(self, surrogate):
@@ -245,6 +253,7 @@ class TestPhiSweep:
         assert grid[0] == 1.0 and grid[-1] == 3.0
         assert len(grid) == 21
         np.testing.assert_allclose(np.diff(grid), 0.1, rtol=1e-12)
+        assert len(default_phi_grid(1.0, 3.0, 2e-4)) == 10_001  # the cap
 
     def test_three_point_sweep(self, surrogate):
         # phi = 1 reproduces the data, phi = 2 pins the correlation at +1,
@@ -288,7 +297,8 @@ class TestPhiSweep:
     @pytest.mark.parametrize("start, end, step", [
         (1.0, math.inf, 0.1), (1.0, math.nan, 0.1), (math.nan, 3.0, 0.1),
         (-math.inf, 3.0, 0.1), (1.0, 3.0, math.inf), (1.0, 3.0, math.nan),
-        (3.0, 1.0, 0.1), (1.0, 3.0, 0.0)])
+        (3.0, 1.0, 0.1), (1.0, 3.0, 0.0), (1.0, 3.0, 1.99e-4),
+        (1.0, 3.0, 1e-6), (1.0, 3.0, 1e-12), (1.0, 3.0, 1e-320)])
     def test_bad_grid_rejected(self, start, end, step):
         with pytest.raises(ValueError, match="bad phi range"):
             default_phi_grid(start, end, step)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from remlab import (Classification, ClassifyTolerances, ClusteredDataset,
-                    DegenerateDataError, DesignSpec, FitOptions, FitResult,
+                    DegenerateDataError, DesignSpec, FitResult,
                     FixedEffects, GeneralDataset, SuffStats, VarianceParams,
                     classify, derive_seed, experiment_catalog, fit_balanced,
                     fit_general, log_restricted_likelihood, log_rl_dense_oracle,
@@ -211,9 +211,9 @@ class TestFitBalanced:
                 assert trial <= best + 1e-8
 
     def test_classification_consistent_with_params(self, medium_dataset):
-        opts = FitOptions()
-        fit = fit_balanced(medium_dataset, opts)
-        assert classify(fit.params, opts.tolerances) is fit.classification
+        tol = ClassifyTolerances()
+        fit = fit_balanced(medium_dataset, tol)
+        assert classify(fit.params, tol) is fit.classification
 
     @pytest.mark.parametrize("seed,expected,tag", [
         (2, Classification.RHO_MINUS_ONE, None),
@@ -250,8 +250,6 @@ class TestFitBalanced:
                         VarianceParams(0.0, 1.0, 1.0, 0.2), 3)
         with pytest.raises(DegenerateDataError):
             fit_balanced(flat)
-        fit = fit_balanced(flat, FitOptions(allow_degenerate=True))
-        assert fit.params.sigma2_e > 0
 
     def test_accepts_suffstats_directly(self, medium_dataset, medium_stats):
         a = fit_balanced(medium_dataset)
@@ -261,8 +259,7 @@ class TestFitBalanced:
 
     def test_tolerances_flow_through(self, medium_dataset):
         # rho_hat is about -0.5, so a huge rho tolerance reclassifies it
-        opts = FitOptions(tolerances=ClassifyTolerances(rho=0.6))
-        fit = fit_balanced(medium_dataset, opts)
+        fit = fit_balanced(medium_dataset, ClassifyTolerances(rho=0.6))
         assert fit.classification is Classification.RHO_MINUS_ONE
 
     @pytest.mark.parametrize("engine", ["balanced", "general"])
