@@ -105,8 +105,18 @@ def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
 def _out_dir(args) -> str:
     """The output directory, created if missing."""
     out_dir = "." if args.out_dir is None else args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create --out-dir {out_dir!r}: {exc.strerror}") from None
     return out_dir
+
+
+def _out_path(path: str) -> str:
+    """--out's path, once it names a file in a writable directory."""
+    if not path or os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise UsageError(f"cannot write --out {path!r}: not a file in a writable directory")
+    return path
 
 
 def _tolerances(args) -> ClassifyTolerances:
@@ -158,16 +168,18 @@ def _cmd_predictor(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.s % 2 == 0 or args.s < 3:
         raise UsageError("--s must be odd and >= 3")
+    out = _out_path(args.out)
     design = DesignSpec(args.N, args.s)
     vp = VarianceParams(args.sigma2_e, args.sigma2_c, args.sigma2_s, args.rho)
     data = simulate(design, FixedEffects(args.b0, args.b1), vp, args.seed)
-    write_dataset_csv(data, args.out)
-    print(f"wrote {design.n_clusters * design.cluster_size} rows to {args.out}")
+    write_dataset_csv(data, out)
+    print(f"wrote {design.n_clusters * design.cluster_size} rows to {out}")
     return 0
 
 
 def _cmd_fit(args) -> int:
     tol = _tolerances(args)
+    out = _out_path(args.out)
     fixed_columns: tuple = ()
     if args.fixed_spec is not None:
         try:
@@ -184,13 +196,10 @@ def _cmd_fit(args) -> int:
         except DataError:
             pass  # not balanced; the general engine takes the same rows
     if data is not None:
-        fit = fit_balanced(data, tol)
-        engine = "balanced"
+        fit, engine = fit_balanced(data, tol), "balanced"
     else:
-        gen = GeneralDataset.from_rows(rows, fixed_columns)
-        fit = fit_general(gen, tol)
-        engine = "general"
-    fit.write_json(args.out)
+        fit, engine = fit_general(GeneralDataset.from_rows(rows, fixed_columns), tol), "general"
+    fit.write_json(out)
     p = fit.params
     print(f"engine         = {engine}")
     print(f"classification = {fit.classification.value}")
@@ -199,7 +208,7 @@ def _cmd_fit(args) -> int:
     print(f"sigma2_s       = {p.sigma2_s:.6g}")
     print(f"rho            = {p.rho:.6g}")
     print(f"log_rl         = {fit.log_rl:.6g}")
-    print(f"wrote {args.out}")
+    print(f"wrote {out}")
     return 0
 
 
@@ -285,6 +294,7 @@ def _cmd_invivo(args) -> int:
 
     tol = _tolerances(args)
     out_dir = _out_dir(args)
+    out = _out_path(args.out) if args.out else os.path.join(out_dir, "invivo_sweep.csv")
     if (args.data is None) == (not args.surrogate):
         raise UsageError("exactly one of --data or --surrogate is required")
     if args.data is not None:
@@ -300,7 +310,6 @@ def _cmd_invivo(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows = _iv.phi_sweep(data, phis, tol)
-    out = args.out or os.path.join(out_dir, "invivo_sweep.csv")
     _iv.write_sweep_csv(rows, out, data.source)
     print(f"source: {data.source}")
     print(f"{'phi':>5s} {'rho_hat':>8s} {'s2_e':>9s} {'s2_e/phi2':>9s} "

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DataError
 from .model_system import VarianceParams
 from .reml_core import (Classification, ClassifyTolerances, FitResult,
-                        GeneralDataset, eblups, fit_general)
+                        GeneralDataset, _GeneralPieces, eblups, fit_general)
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +310,20 @@ def default_phi_grid(start: float = 1.0, end: float = 3.0,
 
 
 def _inflation(data: HmoDataset, phis, tol: ClassifyTolerances):
-    """The baseline fit and the (phi, dataset) pairs of `inflated_datasets`.
-
-    Every phi is checked before the baseline fit runs.
+    """The baseline fit, the general dataset, its pieces (which the baseline
+    fit and its EBLUPs share) and the (phi, response) pairs of
+    `inflated_datasets`.  Every phi is checked before the baseline fit runs.
     """
     phis = [float(phi) for phi in phis]
     if not all(math.isfinite(phi) and phi >= 1.0 for phi in phis):
         raise ValueError("phi must be finite and >= 1")
     gen = data.to_general()
-    base = fit_general(gen, tol)
-    u = np.repeat(eblups(base, gen), gen.sizes, axis=0)
+    pieces = _GeneralPieces(gen)
+    base = fit_general(pieces, tol)
+    u = np.repeat(eblups(base, pieces), gen.sizes, axis=0)
     fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
     residual = gen.y - fitted
-    return base, ((phi, replace(gen, y=fitted + phi * residual)) for phi in phis)
+    return base, gen, pieces, ((phi, fitted + phi * residual) for phi in phis)
 
 
 def inflated_datasets(data: HmoDataset, phis,
@@ -335,7 +336,8 @@ def inflated_datasets(data: HmoDataset, phis,
     Raises ValueError before the baseline fit if any phi is not finite
     or is below 1; the datasets are built as they are iterated.
     """
-    return _inflation(data, phis, tol)[1]
+    _, gen, _, responses = _inflation(data, phis, tol)
+    return ((phi, replace(gen, y=y)) for phi, y in responses)
 
 
 def _fit_theta(fit: FitResult) -> tuple[float, float, float]:
@@ -361,12 +363,12 @@ def phi_sweep(data: HmoDataset, phis=None,
     """
     if phis is None:
         phis = default_phi_grid()
-    base, datasets = _inflation(data, phis, tol)
+    base, _, pieces, responses = _inflation(data, phis, tol)
     phi0, theta0 = phi1, theta1 = 1.0, _fit_theta(base)
     rows: list[InvivoRow] = []
-    for phi, inflated in datasets:
+    for phi, y in responses:
         ratio = (phi - phi1) / (phi1 - phi0) if phi1 != phi0 else 0.0
-        fit = fit_general(inflated, tol, start=tuple(
+        fit = fit_general(pieces.with_response(y), tol, start=tuple(
             b + ratio * (b - a) for a, b in zip(theta0, theta1)))
         (phi0, theta0), (phi1, theta1) = (phi1, theta1), (phi, _fit_theta(fit))
         p = fit.params

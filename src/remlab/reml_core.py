@@ -33,6 +33,7 @@ With a random-effect variance at zero the correlation is unidentified, so
 
 from __future__ import annotations
 
+import copy
 import enum
 import json
 import math
@@ -453,12 +454,12 @@ class _GeneralPieces:
     products for every cluster, so one matrix-vector product forms the whole
     matrix.  Its Cholesky factor gives log det(X'V^-1X) from the first p
     pivots and the GLS residual sum of squares as the last pivot squared
-    (a Schur complement).
+    (a Schur complement).  Only z, W and base depend on y (``with_response``).
     """
 
     def __init__(self, data):
-        x = data.x
-        xy = np.column_stack([data.X, data.y])
+        x = self.x = data.x
+        self.X = data.X
         self.starts = np.concatenate([[0], np.cumsum(data.sizes)[:-1]])
         p = self.p = data.p
         k = self.k = data.n_clusters
@@ -476,14 +477,19 @@ class _GeneralPieces:
         lin[4] = c00 * c11 - c01 * c01, c11, -2.0 * c01, c00
         self.lin = lin.reshape(5, 4 * k)
 
-        z0, z1 = np.add.reduceat(xy, self.starts), np.add.reduceat(x[:, None] * xy, self.starts)
-        self.z = np.stack([z0, z1], axis=1)  # (k, 2, p + 1)
-        self.W = _sym_products(z0, z1)
-        self.base = xy.T @ xy
+        vars(self).update(vars(self.with_response(data.y)))  # y, z, W and base
         xtx = self.base[:p, :p]
         if np.linalg.matrix_rank(xtx) < p:
             raise DataError("fixed-effect design is rank deficient")
         _, self.logdet_xtx = np.linalg.slogdet(xtx)
+
+    def with_response(self, y):
+        """A shallow copy of these pieces with response y and its own z, W and base."""
+        new, xy = copy.copy(self), np.column_stack([self.X, y])
+        z0, z1 = (np.add.reduceat(a, self.starts) for a in (xy, self.x[:, None] * xy))
+        new.y, new.z = y, np.stack([z0, z1], axis=1)  # z: (k, 2, p + 1)
+        new.W, new.base = _sym_products(z0, z1), xy.T @ xy
+        return new
 
     def _s(self, l):
         """d_k = det(I + C_k Sigma) and the weights (S00, 2 S01, S11), shape ([B,] 3, k).
@@ -598,7 +604,7 @@ def _theta(l):
 
 
 def fit_general(data, tol=ClassifyTolerances(), start=None):
-    """Maximise the restricted likelihood of an unbalanced dataset.
+    """Maximise the restricted likelihood of an unbalanced dataset (or its ``_GeneralPieces``).
 
     The search runs in the relative Cholesky factor L of Sigma_rel = LL', as
     lme4 does (Bates, Maechler, Bolker & Walker 2015, J. Stat. Softw. 67(1)):
@@ -619,36 +625,34 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
     start, facet search, ``_snap``.
 
     converged is the certificate at the returned point: the first test's
-    result when neither the facet nor ``_snap`` moved the point, else a
-    new test.  n_evals counts the points at which the objective
-    (``_value``) or the Sigma-space gradient (``sigma_gradient``) was
-    evaluated, each point of a batched call included, and those of a
-    discarded search from start.
+    result, on the M of the search's last step, when neither the facet nor
+    ``_snap`` moved the point, else a new test.  n_evals counts the points
+    at which the objective (``_value``) or the Sigma-space gradient
+    (``sigma_gradient``) was evaluated, each once and each point of a
+    batched call included, and those of a discarded search from start.
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
     data viewed through ``GeneralDataset.from_balanced``.
     """
-    pieces = _GeneralPieces(data)
+    pieces = data if isinstance(data, _GeneralPieces) else _GeneralPieces(data)
     n_evals, converged = 0, False
     if start is not None:
         full, full_value, n_evals, converged = _search(pieces, _boxed(start))
     if not converged:
-        full, full_value, n_cold, converged = _search(
-            pieces, _general_moment_start(pieces, data))
+        full, full_value, n_cold, converged = _search(pieces, _general_moment_start(pieces))
         n_evals += n_cold
         if not full_value < 1e30:
             raise DegenerateDataError("restricted likelihood is unusable at the starting point")
-    tested = _theta(full)
-    theta = tested
+    theta = tested = _theta(full)
     if not converged:
-        facet, facet_value, n_facet = _newton(pieces, full[:2])
-        n_evals += n_facet
+        facet, facet_value, n_facet, _ = _newton(pieces, full[:2], pieces._value(full[:2] + (0.0,)))
+        n_evals += n_facet + 1
         if facet_value <= full_value:
             theta = _theta(facet + (0.0,))
     theta = _snap(theta, tol)
     if theta != tested:
-        converged = _certified(pieces, theta)
+        converged = _certified(pieces.sigma_gradient(_chol(theta)), theta)
         n_evals += 1
     l = _chol(theta)
     value = pieces._value(l)
@@ -658,9 +662,7 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
     n_evals += 1  # the returned point
     s2e = float(rss) / pieces.dof
     lc, ls, rho = theta
-    vp = VarianceParams(
-        sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho
-    )
+    vp = VarianceParams(sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho)
     return FitResult(
         params=vp,
         classification=classify(vp, tol),
@@ -681,18 +683,17 @@ _ROUND = 1e-13  # a change in value below this, relative, is rounding
 _STEP_FLOOR = 1e-12  # a step below this in every Cholesky entry is no step
 
 
-def _certified(pieces, theta):
+def _certified(m, theta):
     """The optimality certificate over positive semidefinite Sigma_rel.
 
-    With d(-log_rl) = tr(M dSigma_rel), theta passes when M has no
-    eigenvalue below -_CERT_TOL and no entry of M Sigma_rel exceeds
+    With m = M of d(-log_rl) = tr(M dSigma_rel) at theta, theta passes when
+    M has no eigenvalue below -_CERT_TOL and no entry of M Sigma_rel exceeds
     _CERT_TOL in size.  That covers M = 0 at an interior fit, Ma = 0 with
     b'Mb >= 0 at a rank-1 fit Sigma_rel = w aa', and M positive
     semidefinite at the zero corner, where every theta-derivative vanishes.
     A theta held at the lambda cap (_LAMBDA_MAX) does not pass.
     """
     lc, ls, rho = theta
-    m = pieces.sigma_gradient(_chol(theta))
     sigma = np.array([[lc * lc, rho * lc * ls], [rho * lc * ls, ls * ls]])
     return bool(
         np.linalg.eigvalsh(m)[0] >= -_CERT_TOL
@@ -721,10 +722,11 @@ def _search(pieces, theta):
     returned uncertified with value 1e30.
     """
     x = _chol(theta)
-    if not pieces._value(x) < 1e30:
+    value = pieces._value(x)
+    if not value < 1e30:
         return x, 1e30, 1, False
-    end, value, n = _newton(pieces, x)
-    return end, value, n + 2, _certified(pieces, _theta(end))
+    end, value, n, m = _newton(pieces, x, value)
+    return end, value, n + 1, _certified(m, _theta(end))
 
 
 def _snap(theta, tol):
@@ -753,51 +755,37 @@ def _capped(x):
     return x
 
 
-def _newton(pieces, x):
-    """Minimise ``value`` over the leading len(x) Cholesky entries, the rest at 0.
+def _newton(pieces, x, f):
+    """Minimise ``value``, f at x, over the leading len(x) Cholesky entries, the rest at 0.
 
-    Modified Newton: the Hessian is the symmetrised central difference of the
-    analytic gradient, with each eigenvalue replaced by its absolute value,
-    so every step descends, also off a saddle.  The gradient at a point and
-    at the 2n points +/- h e_j of that difference come from one batched
-    ``sigma_gradient`` call.  A backtracking line search takes the step.
-    The search runs to the gradient floor: it stops when a step that lowers
-    the value by no more than rounding is also below _STEP_FLOOR or does not
-    lower the largest gradient component, when the line search finds no
-    descent, or after _NEWTON_STEPS steps.  Returns (x, value, n_points),
-    n_points counting every point evaluated.
+    Modified Newton (``_derivatives``, ``_newton_step``) with a backtracking
+    line search, run to the gradient floor: it stops at a Newton step of at
+    most _STEP_FLOOR, before its line search; at a step that lowers the
+    value by no more than rounding (a flat step) and is below _STEP_FLOOR
+    or does not lower the largest gradient component; when the line search
+    finds no descent; or after _NEWTON_STEPS steps.  A flat step's end takes
+    only the gradient; the Hessian before it predicts the next step, and the
+    difference points run only if that step is above _STEP_FLOOR.  Returns
+    (x, value, n_points, M): n_points counts every point evaluated here, not
+    f's, and M is ``sigma_gradient`` at x.
     """
-    n = len(x)
-
-    def chol(v):
-        return tuple(v) + (0.0,) * (3 - n)
-
-    def grad_hess(v):
-        h = _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
-        l = np.zeros((2 * n + 1, 3))
-        l[:, :n] = np.vstack([v, v + np.diag(h), v - np.diag(h)])
-        (m00, m01), (_, m11) = pieces.sigma_gradient(l).transpose(1, 2, 0)
-        l11, l21, l22 = l.T
-        g = 2.0 * np.stack([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n]
-        return g[:, 0], (g[:, 1 : n + 1] - g[:, n + 1 :]) / (2.0 * h)
-
     x = np.array(x, dtype=float)
-    f, (g, hess) = pieces._value(chol(x)), grad_hess(x)
-    calls = 2 * n + 2
+    (g, m, hess, calls), stale = _derivatives(pieces, x), False
     for _ in range(_NEWTON_STEPS):
-        eig, vec = np.linalg.eigh(0.5 * (hess + hess.T))
-        eig = np.abs(eig)
-        if not eig.max() > 0.0:
+        step = _newton_step(x, g, hess)
+        if stale and step is not None:  # predicted with the Hessian before a flat step
+            g, m, hess, points = _derivatives(pieces, x)
+            calls += points
+            step = _newton_step(x, g, hess)
+        if step is None:
             break
-        step = -vec @ ((vec.T @ g) / np.maximum(eig, 1e-8 * eig.max()))
         slope, t = float(g @ step), 1.0
         while t >= 1e-10:
             trial = _capped(x + t * step)
-            trial_value = pieces._value(chol(trial))
+            trial_value = pieces._value(tuple(trial) + (0.0,) * (3 - len(x)))
             calls += 1
             if trial_value <= f + 1e-4 * t * slope or (
-                t == 1.0 and trial_value <= f + _ROUND * abs(f)
-            ):
+                    t == 1.0 and trial_value <= f + _ROUND * abs(f)):
                 break
             t *= 0.5
         else:
@@ -805,15 +793,45 @@ def _newton(pieces, x):
         flat = trial_value > f - _ROUND * abs(f)
         if flat and np.abs(trial - x).max() <= _STEP_FLOOR:
             break
-        trial_grad, trial_hess = grad_hess(trial)
-        calls += 2 * n + 1
-        if flat and np.abs(trial_grad).max() >= np.abs(g).max():
+        trial_g, trial_m, trial_hess, points = _derivatives(pieces, trial, hess if flat else None)
+        calls += points
+        if flat and np.abs(trial_g).max() >= np.abs(g).max():
             break
-        x, f, g, hess = trial, trial_value, trial_grad, trial_hess
-    return tuple(x.tolist()), f, calls
+        x, f, g, m, hess, stale = trial, trial_value, trial_g, trial_m, trial_hess, flat
+    return tuple(x.tolist()), f, calls, m
 
 
-def _general_moment_start(pieces, data):
+def _derivatives(pieces, v, hess=None):
+    """(gradient in the leading n = len(v) Cholesky entries, M, Hessian, points) at v.
+
+    One batched ``sigma_gradient`` call takes v and the 2n points v +/- h e_j
+    of the Hessian's central difference, or v alone if hess is given.
+    """
+    n = len(v)
+    h = _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
+    l = np.zeros((1 if hess is not None else 2 * n + 1, 3))
+    l[:, :n] = v if hess is not None else np.vstack([v, v + np.diag(h), v - np.diag(h)])
+    m = pieces.sigma_gradient(l)
+    (m00, m01), (_, m11) = m.transpose(1, 2, 0)
+    l11, l21, l22 = l.T
+    g = 2.0 * np.stack([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n]
+    if hess is None:
+        hess = (g[:, 1 : n + 1] - g[:, n + 1 :]) / (2.0 * h)
+    return g[:, 0], m[0], hess, len(l)
+
+
+def _newton_step(x, g, hess):
+    """The Newton step by hess with |eigenvalues|, so it descends also off a
+    saddle; None if hess is 0 or the step moves no entry by > _STEP_FLOOR."""
+    eig, vec = np.linalg.eigh(0.5 * (hess + hess.T))
+    eig = np.abs(eig)
+    if not eig.max() > 0.0:
+        return None
+    step = -vec @ ((vec.T @ g) / np.maximum(eig, 1e-8 * eig.max()))
+    return step if np.abs(_capped(x + step) - x).max() > _STEP_FLOOR else None
+
+
+def _general_moment_start(pieces):
     """Rough moment-based starting theta of the Newton search.
 
     Each cluster with spread in x gets its OLS coefficients (a_k, b_k) on
@@ -827,10 +845,10 @@ def _general_moment_start(pieces, data):
     det = c00 * c11 - c01 * c01
     ok = det > 1e-12 * c00 * c11  # above the rounding of det, which is 0 for constant x
     a, b = np.stack([c11 * hy0 - c01 * hy1, c00 * hy1 - c01 * hy0])[:, ok] / det[ok]
-    rss = np.add.reduceat(data.y * data.y, pieces.starts)[ok] - a * hy0[ok] - b * hy1[ok]
+    rss = np.add.reduceat(pieces.y * pieces.y, pieces.starts)[ok] - a * hy0[ok] - b * hy1[ok]
     pooled = c00[ok] >= 3
     rss, df = float(rss[pooled].sum()), float((c00[ok][pooled] - 2.0).sum())
-    s2e0 = rss / df if df > 0 and rss > 0 else max(float(np.var(data.y)), 1e-8)
+    s2e0 = rss / df if df > 0 and rss > 0 else max(float(np.var(pieces.y)), 1e-8)
     if a.size < 3:
         return 0.5, 0.5, 0.0
     centred = np.stack([a, b])
@@ -851,14 +869,15 @@ def eblups(fit, data):
     at the fit's Sigma_rel (``fit.beta`` for a general fit), so a balanced
     fit of data viewed through ``GeneralDataset.from_balanced`` works too.
     When Sigma_hat is singular the BLUPs lie in its column space by
-    construction.
+    construction.  data may be the dataset's ``_GeneralPieces``.
 
     Returns:
         Array of shape (n_clusters, 2).
     """
     vp = fit.params
     (l11, _), (l21, l22) = vp.sigma_cholesky() / math.sqrt(vp.sigma2_e)
-    return _GeneralPieces(data).eblups((l11, l21, l22))
+    pieces = data if isinstance(data, _GeneralPieces) else _GeneralPieces(data)
+    return pieces.eblups((l11, l21, l22))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,45 @@ class TestExitCodes:
                              "--out", str(tmp_path / "o.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("command, out", [
+        *((c, out) for c in ("fit", "simulate", "invivo") for out in ("{tmp}/missing/o", "{tmp}")),
+        ("fit", ""), ("simulate", "")])  # an empty invivo --out selects the default path
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch,
+                                           command, out):
+        # --out is checked before any work: a path in a missing directory,
+        # a directory or an empty path exits 1 without fitting
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--N", "10", "--s", "5", "--sigma2-e", "1",
+                     "--sigma2-c", "1", "--sigma2-s", "1", "--rho", "0.3",
+                     "--seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        out = out.format(tmp=tmp_path)
+        argv = {"fit": ["--data", str(data)],
+                "simulate": ["--N", "10", "--s", "5", "--sigma2-e", "1", "--sigma2-c", "1",
+                             "--sigma2-s", "1", "--rho", "0.3", "--seed", "3"],
+                "invivo": ["--surrogate", "--out-dir", str(tmp_path)]}[command]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the --out check")
+
+        for name in ("fit_balanced", "fit_general", "simulate"):
+            monkeypatch.setattr(f"remlab.cli.{name}", no_work)
+        monkeypatch.setattr("remlab.invivo.phi_sweep", no_work)
+        code, _, err = run_cli(capsys, command, *argv, "--out", out)
+        assert code == 1
+        assert "usage error: cannot write --out" in err
+
+    @pytest.mark.parametrize("make_blocker", [False, True])
+    def test_unmakeable_out_dir_is_usage_error(self, capsys, tmp_path, make_blocker):
+        # an empty --out-dir, or one below a regular file, exits 1
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = str(blocker / "sub") if make_blocker else ""
+        for argv in (["invivo", "--surrogate"], ["experiment", "A", "--reps", "1"]):
+            code, _, err = run_cli(capsys, *argv, "--out-dir", out_dir)
+            assert code == 1
+            assert "usage error: cannot create --out-dir" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0

@@ -249,7 +249,7 @@ class TestMomentStart:
         # lstsq, far fewer than the 9 that this tolerance leaves
         data = unbalanced_dataset(seed=seed)
         np.testing.assert_allclose(
-            _general_moment_start(_GeneralPieces(data), data),
+            _general_moment_start(_GeneralPieces(data)),
             lstsq_moment_start(data), rtol=1e-9, atol=1e-12)
 
     def test_few_spread_clusters_fall_back(self):
@@ -259,7 +259,7 @@ class TestMomentStart:
         data = GeneralDataset(x=x, X=np.column_stack([np.ones_like(x), x]),
                               y=np.array([1.0, 2.0, 4.0, 0.0, 1.0, 1.0, 3.0, 2.0]),
                               sizes=[3, 3, 1, 1])
-        start = _general_moment_start(_GeneralPieces(data), data)
+        start = _general_moment_start(_GeneralPieces(data))
         assert start == lstsq_moment_start(data) == (0.5, 0.5, 0.0)
 
 
@@ -394,8 +394,8 @@ def newton_runs(monkeypatch):
     """The (pieces, result) of every ``_newton`` run inside ``fit_general``."""
     runs = []
 
-    def recorded(pieces, x):
-        runs.append((pieces, _newton(pieces, x)))
+    def recorded(pieces, x, f):
+        runs.append((pieces, _newton(pieces, x, f)))
         return runs[-1][1]
 
     monkeypatch.setattr(reml_core, "_newton", recorded)
@@ -415,9 +415,9 @@ class TestFacetSearch:
             if len(newton_runs) > 1:
                 continue
             skipped += 1
-            [(pieces, (full, _, _))] = newton_runs
+            [(pieces, (full, _, _, _))] = newton_runs
             fit_value = 0.5 * pieces.logdet_xtx - fit.log_rl
-            facet_value = _newton(pieces, full[:2])[1]
+            facet_value = _newton(pieces, full[:2], pieces._value(full[:2] + (0.0,)))[1]
             if facet_value < fit_value - 1e-12 * abs(fit_value):
                 misses.append((name, fit_value - facet_value))
         assert skipped > 0 and not misses
@@ -436,6 +436,36 @@ class TestFacetSearch:
         assert len(newton_runs) == 2 and fit.converged
 
 
+class TestFlatStep:
+    @pytest.mark.parametrize("which", ["catalog", "unbalanced", "sweep"])
+    def test_full_batch_after_a_flat_step_changes_nothing(self, which, newton_runs,
+                                                          monkeypatch):
+        # after a flat step _newton takes the gradient at its end alone and
+        # predicts the next step with the Hessian from before it; taking the
+        # 2n + 1 difference points there instead gives every search the same
+        # end point, value and certificate bit for bit, at more points
+        def searches():
+            out, points = [], 0
+            for _, data in fit_corpus(which):
+                newton_runs.clear()
+                fit = fit_general(data)
+                points += fit.n_evals
+                ends = []
+                for _, (x, f, _, m) in newton_runs:
+                    theta = _theta(x + (0.0,) * (3 - len(x)))  # a facet search ends at (l11, l21)
+                    ends.append((x, f, m.tolist(), reml_core._certified(m, theta)))
+                out.append((replace(fit, beta=None, n_evals=0), fit.beta.tolist(), ends))
+            return out, points
+
+        short, short_points = searches()
+        derivatives = reml_core._derivatives
+        monkeypatch.setattr(reml_core, "_derivatives",
+                            lambda pieces, v, hess=None: derivatives(pieces, v))
+        full, full_points = searches()
+        assert short == full
+        assert short_points < full_points
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("start, boxed", [
         ((0.0, 0.5, 1.0), (1e-3, 0.5, 0.9)),
@@ -451,8 +481,8 @@ class TestWarmStart:
         cold = fit_general(data)
         certified, failed = reml_core._certified, []
 
-        def fails_once(pieces, theta):
-            passed = certified(pieces, theta)
+        def fails_once(m, theta):
+            passed = certified(m, theta)
             if not failed:
                 failed.append(theta)
                 return False
@@ -463,12 +493,15 @@ class TestWarmStart:
         fit = fit_general(data, start=start)
         warm_run = newton_runs[0][1]
         assert len(newton_runs) > 1 and failed == [_theta(warm_run[0])]
-        assert _newton(_GeneralPieces(data), _chol(boxed)) == warm_run
-        # the discarded search's points: its start, its Newton points and
-        # its certificate
+        pieces = _GeneralPieces(data)
+        start_value = pieces._value(_chol(boxed))
+        replay = _newton(pieces, _chol(boxed), start_value)
+        assert replay[:3] == warm_run[:3] and np.array_equal(replay[3], warm_run[3])
+        # the discarded search's points: its start and its Newton points,
+        # whose last gradient is its certificate
         assert np.array_equal(fit.beta, cold.beta)
         assert replace(fit, beta=None) == replace(
-            cold, beta=None, n_evals=cold.n_evals + 1 + warm_run[2] + 1)
+            cold, beta=None, n_evals=cold.n_evals + 1 + warm_run[2])
 
     def test_certified_warm_search_is_the_fit(self, newton_runs):
         # started at the fit itself, the first full search ends certified,

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -330,17 +331,19 @@ class TestPhiSweep:
 
 
 def sweep_fits(monkeypatch, data, phis):
-    """The sweep's rows and every fit it made, the baseline fit first."""
-    fits = []
+    """The sweep's rows, every fit it made and each fit's start, the
+    baseline fit first."""
+    fits, starts = [], []
 
     def recorded(*args, **kwargs):
         fits.append(fit_general(*args, **kwargs))
+        starts.append(kwargs.get("start"))
         return fits[-1]
 
     with monkeypatch.context() as patch:
         patch.setattr(invivo, "fit_general", recorded)
         rows = phi_sweep(data, phis)
-    return rows, fits
+    return rows, fits, starts
 
 
 class TestWarmStartedSweep:
@@ -353,7 +356,7 @@ class TestWarmStartedSweep:
             data, phis = make_surrogate(), default_phi_grid()
         else:
             data, phis = make_surrogate(seed), default_phi_grid(1.0, 4.0, 0.3)
-        rows, fits = sweep_fits(monkeypatch, data, phis)
+        rows, fits, _ = sweep_fits(monkeypatch, data, phis)
         warm = fits[1:]
         cold = [fit_general(d) for _, d in inflated_datasets(data, phis)]
         assert len(warm) == len(cold) == len(rows) == len(phis)
@@ -368,3 +371,23 @@ class TestWarmStartedSweep:
             assert (row.sigma2_e, row.sigma2_c, row.sigma2_s) == (
                 p.sigma2_e, p.sigma2_c, p.sigma2_s)
         assert sum(f.n_evals for f in warm) < sum(f.n_evals for f in cold)
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_shared_pieces_give_the_public_fits(self, seed, monkeypatch):
+        # phi_sweep builds the design's pieces once and hands each refit
+        # only its response; fit_general on each inflated dataset from the
+        # same start gives the same FitResult, n_evals included
+        if seed is None:
+            data, phis = make_surrogate(), default_phi_grid()
+        else:
+            data, phis = make_surrogate(seed), default_phi_grid(1.0, 4.0, 0.1)
+        _, fits, starts = sweep_fits(monkeypatch, data, phis)
+        replay = [fit_general(data.to_general())] + [
+            fit_general(d, start=start)
+            for (_, d), start in zip(inflated_datasets(data, phis), starts[1:])]
+        assert starts[0] is None and len(replay) == len(fits) == len(phis) + 1
+        for got, want in zip(fits, replay):
+            assert np.array_equal(got.beta, want.beta)
+            assert replace(got, beta=None) == replace(want, beta=None)
+        if seed is None:
+            assert sum(f.n_evals for f in fits[1:]) <= 700
