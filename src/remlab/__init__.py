@@ -36,11 +36,11 @@ _EXPORTS = {
     "experiments": (
         "AnovaRow", "ExperimentSetting", "RepRecord", "SettingSummary", "anova_balanced",
         "derive_seed", "experiment_catalog", "factorial_grid", "interaction_plot_data",
-        "ls_means", "run_replicate", "run_setting", "run_settings", "sign_test_plus_vs_minus",
+        "ls_means", "run_replicate", "run_settings", "sign_test_plus_vs_minus",
         "summarize", "two_proportion_pvalue", "with_reps",
     ),
     "invivo": (
-        "HmoDataset", "InvivoRow", "default_phi_grid", "fit_hmo", "ingest_hmo",
+        "HmoDataset", "InvivoRow", "default_phi_grid", "ingest_hmo",
         "make_surrogate", "phi_sweep", "write_hmo_csv",
     ),
 }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -157,46 +158,30 @@ def experiment_catalog() -> list[ExperimentSetting]:
     return out
 
 
-def factorial_grid(n_grid=None, s_grid=None, rho_grid=None,
-                   log10_r_grid=None, reps: int = 40, scale: float | None = None,
+def factorial_grid(reps: int = 40, scale: float | None = None,
                    variance_mode: VarianceMode = VarianceMode.FIX_RANDOM_EFFECTS,
                    ) -> list[ExperimentSetting]:
     """Build the full-factorial grid of settings.
 
-    Default grids: N in 50..1050 by 100, s in 5..105 by 10, rho in
-    -0.9..-0.1 by 0.1, log10(r) in 0..4 by 0.4.  `scale` subsamples each
-    grid evenly (endpoints kept) to roughly `scale` times its length, for
-    desk-scale runs.
+    The grids: N in 50..1050 by 100, s in 5..105 by 10, rho in -0.9..-0.1
+    by 0.1, log10(r) in 0..4 by 0.4.  `scale` subsamples each grid evenly
+    (endpoints kept) to roughly `scale` times its length, for desk-scale
+    runs.
 
     Setting ids encode the grid values, so a setting keeps the same
     replicate seeds no matter which subsample it appears in.
     """
-    n_grid = list(n_grid) if n_grid is not None else list(range(50, 1051, 100))
-    s_grid = list(s_grid) if s_grid is not None else list(range(5, 106, 10))
-    rho_grid = (list(rho_grid) if rho_grid is not None
-                else [-(9 - k) / 10 for k in range(9)])
-    log10_r_grid = (list(log10_r_grid) if log10_r_grid is not None
-                    else [2 * k / 5 for k in range(11)])
-
+    grids = [list(range(50, 1051, 100)), list(range(5, 106, 10)),
+             [-(9 - k) / 10 for k in range(9)], [2 * k / 5 for k in range(11)]]
     if scale is not None:
         if not (0 < scale <= 1):
             raise ValueError("scale must be in (0, 1]")
-        n_grid = _subsample(n_grid, scale)
-        s_grid = _subsample(s_grid, scale)
-        rho_grid = _subsample(rho_grid, scale)
-        log10_r_grid = _subsample(log10_r_grid, scale)
-
-    out = []
-    for n in n_grid:
-        for s in s_grid:
-            for rho in rho_grid:
-                for lr in log10_r_grid:
-                    sid = f"f_N{n}_s{s}_rho{rho:+.2f}_logr{lr:.2f}"
-                    out.append(ExperimentSetting(
-                        id=sid, experiment="factorial", n_clusters=n,
-                        cluster_size=s, rho=rho, r=10.0 ** lr, reps=reps,
-                        variance_mode=variance_mode))
-    return out
+        grids = [_subsample(g, scale) for g in grids]
+    return [ExperimentSetting(
+                id=f"f_N{n}_s{s}_rho{rho:+.2f}_logr{lr:.2f}", experiment="factorial",
+                n_clusters=n, cluster_size=s, rho=rho, r=10.0 ** lr, reps=reps,
+                variance_mode=variance_mode)
+            for n, s, rho, lr in itertools.product(*grids)]
 
 
 def _subsample(grid: list, scale: float) -> list:
@@ -280,14 +265,6 @@ def _summaries(settings: list[ExperimentSetting],
             mc_se_bad=100.0 * math.sqrt(p * (1.0 - p) / reps),
             n_m1=n_m1, n_p1=n_p1, n_nan=n_nan))
     return out
-
-
-def run_setting(setting: ExperimentSetting, master_seed: int,
-                parallelism: int = 1,
-                ) -> tuple[SettingSummary, list[RepRecord]]:
-    """Run all replicates of one setting; see `run_settings` for many."""
-    summaries, records = run_settings([setting], master_seed, parallelism)
-    return summaries[0], records
 
 
 _CHUNK_REPS = 25  # replicates per pool task
@@ -400,8 +377,7 @@ def _effects_blocks(columns: dict, factors: list[str], levels: dict,
 
     Level k of a factor (k < last) gets an indicator column with -1 on the
     last level, so each factor's coded columns sum to zero over a balanced
-    design.  `levels` fixes the coding, so rows that are not the table's
-    own (a prediction grid) are coded exactly as the table is.
+    design.
     """
     m = len(columns[factors[0]])
     coded = {}
@@ -485,10 +461,12 @@ def ls_means(table: dict, factors: list[str], response: str,
              factor: str) -> dict:
     """Least-squares means of one factor under the two-way-interaction model.
 
-    Fits the same model as `anova_balanced` and averages its fitted values
-    over a uniform grid of the other factors' observed levels, one average
-    per level of `factor`.  On a perfectly balanced design these equal the
-    raw level means.
+    Fits the same model as `anova_balanced`.  The LS-mean of a level is the
+    fitted value averaged over a uniform grid of the other factors' observed
+    levels; under effects coding every coded column averages to zero over
+    that grid, so the average is the intercept plus the level's coded main
+    effect (Searle, Speed & Milliken 1980, Am. Statist. 34:216).  On a
+    perfectly balanced design these equal the raw level means.
 
     Returns:
         dict mapping each level of `factor` to its adjusted mean.
@@ -497,30 +475,15 @@ def ls_means(table: dict, factors: list[str], response: str,
         raise ValueError(f"{factor!r} is not among the factors")
     y = np.asarray(table[response], dtype=float)
     levels = _factor_levels(table, factors)
-
-    def design(columns: dict) -> np.ndarray:
-        return np.hstack([cols for _, cols in
-                          _effects_blocks(columns, factors, levels)])
-
-    x = design(table)
+    x = np.hstack([cols for _, cols in _effects_blocks(table, factors, levels)])
     beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank != x.shape[1]:
         raise EstimabilityError(
             "two-way interaction model is not estimable on this table")
-
-    others = [name for name in factors if name != factor]
-    grids = np.meshgrid(*[levels[name] for name in others], indexing="ij")
-    flat = {name: g.ravel() for name, g in zip(others, grids)}
-    n_grid = next(iter(flat.values())).shape[0] if others else 1
-
-    out = {}
-    for lev in levels[factor]:
-        cols = dict(flat)
-        cols[factor] = np.full(n_grid, lev, dtype=np.asarray(
-            table[factor]).dtype)
-        preds = design(cols) @ beta
-        out[lev] = float(np.mean(preds))
-    return out
+    lo = 1 + sum(len(levels[name]) - 1 for name in factors[:factors.index(factor)])
+    effects = beta[lo:lo + len(levels[factor]) - 1]
+    return {lev: float(beta[0] + e)
+            for lev, e in zip(levels[factor], [*effects, -effects.sum()])}
 
 
 def interaction_plot_data(summaries: list[SettingSummary],

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .model_system import VarianceParams
+from .model_system import VarianceParams, philox
 from .reml_core import (Classification, ClassifyTolerances, FitResult,
                         GeneralDataset, _GeneralPieces, eblups, fit_general)
 
@@ -49,6 +49,9 @@ class HmoDataset:
             repeated on each of the state's plans, shape (n,).
         new_england: state-level indicator coded +1/-1, repeated per plan.
         source: provenance label, e.g. "canonical" or "surrogate".
+
+    Construction numbers each plan's state in order of first appearance
+    (``_plan_state``) and keeps each state's first plan (``_first_plan``).
     """
 
     state: np.ndarray
@@ -70,39 +73,25 @@ class HmoDataset:
             raise DataError("families enrolled must be >= 1")
         if not np.all(np.isin(self.new_england, (-1, 1))):
             raise DataError("new_england must be coded +1/-1")
-        labels, first, inverse = np.unique(
-            self.state, return_index=True, return_inverse=True)
-        first_row = first[inverse]  # each plan's state's first plan
+        _, first, inverse = np.unique(self.state, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the argsort of a permutation is its inverse
+        object.__setattr__(self, "_plan_state", np.argsort(order)[inverse])
+        object.__setattr__(self, "_first_plan", first[order])
+        first_row = self._first_plan[self._plan_state]
         for name in ("exp_per_admission", "new_england"):
             col = getattr(self, name)
-            bad = inverse[col != col[first_row]]
+            bad = self._plan_state[col != col[first_row]]
             if bad.size:
-                lab = labels[bad[np.argmin(first[bad])]].item()
+                lab = self.state[self._first_plan[bad.min()]].item()
                 raise DataError(
                     f"state-level column {name!r} varies within "
                     f"state {lab!r}")
 
     @property
-    def states(self) -> list:
-        """State labels in order of first appearance."""
-        _, first = np.unique(self.state, return_index=True)
-        return self.state[np.sort(first)].tolist()
-
-    @property
-    def n_states(self) -> int:
-        return len(self.states)
-
-    @property
     def n_plans(self) -> int:
         return int(self.premium.shape[0])
 
-    def cluster_sizes(self) -> np.ndarray:
-        """Plans per state, states in order of first appearance."""
-        _, first, counts = np.unique(self.state, return_index=True,
-                                     return_counts=True)
-        return counts[np.argsort(first)]
-
-    def standardized_design(self) -> tuple[np.ndarray, dict, dict]:
+    def standardized_design(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Standardize the regressors as the model requires.
 
         The plan-level regressor log10(families) is centered and scaled
@@ -110,24 +99,25 @@ class HmoDataset:
         scaled over states (each state counted once).
 
         Returns:
-            (z, e_std, ne_std): z is the standardized plan-level
-            regressor, shape (n,); e_std and ne_std map state label ->
-            standardized covariate value.
+            (z, e, ne), each of shape (n,): the standardized plan-level
+            regressor and each plan's standardized state covariates.
+
+        Raises:
+            DataError: if a regressor is constant, so that its coefficient
+                is not estimable.
         """
         logf = np.log10(self.families.astype(float))
-        z = (logf - logf.mean()) / logf.std(ddof=0)
-
-        first = np.sort(np.unique(self.state, return_index=True)[1])
-        labs = self.state[first].tolist()
-        e_state = self.exp_per_admission[first].astype(float)
-        ne_state = self.new_england[first].astype(float)
-        if e_state.std(ddof=0) == 0 or ne_state.std(ddof=0) == 0:
+        e_state = self.exp_per_admission[self._first_plan].astype(float)
+        ne_state = self.new_england[self._first_plan].astype(float)
+        # max == min, not std == 0: the std of equal values is often a rounding residue
+        if np.ptp(logf) == 0:
+            raise DataError("families enrolled is the same on every plan; "
+                            "its coefficient is not estimable")
+        if np.ptp(e_state) == 0 or np.ptp(ne_state) == 0:
             raise DataError("a state-level covariate is constant; "
                             "its coefficient is not estimable")
-        e_std = (e_state - e_state.mean()) / e_state.std(ddof=0)
-        ne_std = (ne_state - ne_state.mean()) / ne_state.std(ddof=0)
-        return (z, dict(zip(labs, e_std.tolist())),
-                dict(zip(labs, ne_std.tolist())))
+        z, e, ne = ((v - v.mean()) / v.std(ddof=0) for v in (logf, e_state, ne_state))
+        return z, e[self._plan_state], ne[self._plan_state]
 
     def to_general(self) -> GeneralDataset:
         """Build the general-engine dataset: X = [1, z, expenses, NE].
@@ -135,17 +125,12 @@ class HmoDataset:
         One cluster per state, states in order of first appearance and
         plans in file order within each state.
         """
-        z, e_std, ne_std = self.standardized_design()
-        labels, first, inverse, sizes = np.unique(
-            self.state, return_index=True, return_inverse=True,
-            return_counts=True)
-        rows = np.argsort(first[inverse], kind="stable")
-        e = np.array([e_std[lab] for lab in labels.tolist()])[inverse]
-        ne = np.array([ne_std[lab] for lab in labels.tolist()])[inverse]
+        z, e, ne = self.standardized_design()
+        rows = np.argsort(self._plan_state, kind="stable")
         xmat = np.column_stack([np.ones_like(z), z, e, ne])
         return GeneralDataset(x=z[rows], X=xmat[rows],
                               y=self.premium[rows].astype(float),
-                              sizes=sizes[np.argsort(first)])
+                              sizes=np.bincount(self._plan_state))
 
 
 def ingest_hmo(path, source: str = "canonical") -> HmoDataset:
@@ -231,8 +216,7 @@ def make_surrogate(seed: int = _DEFAULT_SURROGATE_SEED) -> HmoDataset:
     the resulting dataset shows the same qualitative behavior as the real
     one under the residual-inflation sweep.
     """
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(int(seed) & (2 ** 64 - 1))))
+    rng = philox(seed)
     sizes = np.array(_SURROGATE_SIZES)
     k = sizes.shape[0]
     labels = [f"S{i+1:02d}" for i in range(k)]
@@ -252,17 +236,12 @@ def make_surrogate(seed: int = _DEFAULT_SURROGATE_SEED) -> HmoDataset:
         new_england=np.repeat(ne_state, sizes), source="surrogate")
 
     # Standardize exactly as the fit will, then simulate the response.
-    z, e_std, ne_std = data.standardized_design()
+    z, e, ne = data.standardized_design()
     b0, b1, b_e, b_ne = _SURROGATE_BETA
     vp = VarianceParams(*_SURROGATE_VARIANCE)
-    u = rng.standard_normal((k, 2)) @ vp.sigma_cholesky().T
+    u = (rng.standard_normal((k, 2)) @ vp.sigma_cholesky().T)[data._plan_state]
     eps = rng.standard_normal(z.shape[0]) * math.sqrt(vp.sigma2_e)
-
-    state_idx = np.repeat(np.arange(k), sizes)
-    e_col = np.array([e_std[lab] for lab in labels])[state_idx]
-    ne_col = np.array([ne_std[lab] for lab in labels])[state_idx]
-    y = (b0 + b1 * z + b_e * e_col + b_ne * ne_col
-         + u[state_idx, 0] + u[state_idx, 1] * z + eps)
+    y = b0 + b1 * z + b_e * e + b_ne * ne + u[:, 0] + u[:, 1] * z + eps
     return replace(data, premium=y)
 
 
@@ -281,12 +260,6 @@ class InvivoRow:
     sigma2_c: float
     sigma2_s: float
     classification: Classification
-
-
-def fit_hmo(data: HmoDataset,
-            tol: ClassifyTolerances = ClassifyTolerances()) -> FitResult:
-    """Fit the premium model by restricted maximum likelihood."""
-    return fit_general(data.to_general(), tol)
 
 
 _MAX_PHI_POINTS = 10_001  # at about 2 ms a refit, a sweep of 20 s

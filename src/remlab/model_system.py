@@ -55,8 +55,6 @@ __all__ = [
     "write_dataset_csv",
 ]
 
-_SEED_MASK = (1 << 64) - 1
-
 
 def build_h(s):
     """Return the shared regressor grid for an odd cluster size.
@@ -109,10 +107,6 @@ class DesignSpec:
         if not isinstance(self.n_clusters, (int, np.integer)) or self.n_clusters < 2:
             raise ValueError(f"n_clusters must be an integer >= 2, got {self.n_clusters!r}")
         _validate_cluster_size(self.cluster_size)
-
-    @property
-    def m(self):
-        return (self.cluster_size - 1) // 2
 
     @property
     def q(self):
@@ -219,10 +213,6 @@ class ClusteredDataset:
             raise ValueError("responses must be finite")
         object.__setattr__(self, "y", y)
 
-    @property
-    def x(self):
-        return self.design.h
-
     @classmethod
     def from_rows(cls, rows):
         """The balanced dataset in a parsed CSV (see ``parse_dataset_rows``).
@@ -252,14 +242,22 @@ class ClusteredDataset:
         return cls(design=DesignSpec(n_clusters=n, cluster_size=s), y=rows.y.reshape(n, s).copy())
 
 
-def _draw(design, seed):
-    """Draw one replicate's standard normals from its own counter-based stream.
+def philox(seed):
+    """The counter-based generator (Philox) of an integer seed, reduced modulo 2**64.
 
-    The generator is Philox, so a given 64-bit seed yields the same draws on
-    any platform and in any execution order.  The draw order is fixed: an
-    N x 2 matrix z for the random effects, then the N x s error matrix.
+    A given seed yields the same draws on any platform and in any execution
+    order; seed and seed + 2**64 (a negative seed included) yield the same.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) & _SEED_MASK)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed) % 2**64)))
+
+
+def _draw(design, seed):
+    """Draw one replicate's standard normals from its own stream (``philox``).
+
+    The draw order is fixed: an N x 2 matrix z for the random effects, then
+    the N x s error matrix.
+    """
+    rng = philox(seed)
     z = rng.standard_normal((design.n_clusters, 2))
     return z, rng.standard_normal((design.n_clusters, design.cluster_size))
 
@@ -271,7 +269,7 @@ def simulate(design, fixed, vp, seed):
         design: DesignSpec.
         fixed: FixedEffects.
         vp: VarianceParams (sigma2_e = 0 allowed; gives noise-free data).
-        seed: integer seed; reduced modulo 2**64 (see ``_draw``).
+        seed: integer seed; reduced modulo 2**64 (see ``philox``).
 
     Returns:
         ClusteredDataset.

@@ -26,6 +26,8 @@ import csv
 
 import numpy as np
 
+from .model_system import philox
+
 __all__ = [
     "predictor_minus_one",
     "predictor_plus_one",
@@ -131,26 +133,17 @@ DEFAULT_SWEEP_GRIDS = {
 }
 
 
-def predictor_sweep(seed, n_draws=1000, grids=None):
-    """Score both boundaries at uniformly drawn grid settings.
+def predictor_sweep(seed, n_draws=1000):
+    """Score both boundaries at uniformly drawn settings of DEFAULT_SWEEP_GRIDS.
 
-    Each draw picks one level per factor, independently and uniformly, using
-    a counter-based generator keyed by ``seed``.  Returns a column table:
-    draw, n_clusters, cluster_size, rho, log10_r, log10_pred_m1,
+    Each draw picks one level per factor, independently and uniformly, from
+    the stream of ``seed`` (``model_system.philox``).  Returns a column
+    table: draw, n_clusters, cluster_size, rho, log10_r, log10_pred_m1,
     log10_pred_p1.
     """
-    g = dict(DEFAULT_SWEEP_GRIDS)
-    if grids:
-        g.update(grids)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    n_lv = np.array(g["n_clusters"])
-    s_lv = np.array(g["cluster_size"])
-    rho_lv = np.array(g["rho"])
-    lr_lv = np.array(g["log10_r"])
-    n = n_lv[rng.integers(0, len(n_lv), n_draws)]
-    s = s_lv[rng.integers(0, len(s_lv), n_draws)]
-    rho = rho_lv[rng.integers(0, len(rho_lv), n_draws)]
-    log10_r = lr_lv[rng.integers(0, len(lr_lv), n_draws)]
+    rng = philox(seed)
+    n, s, rho, log10_r = (np.array(levels)[rng.integers(0, len(levels), n_draws)]
+                          for levels in DEFAULT_SWEEP_GRIDS.values())
     r = 10.0 ** log10_r
     return {
         "draw": np.arange(1, n_draws + 1),

@@ -633,14 +633,17 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
-    data viewed through ``GeneralDataset.from_balanced``.
+    data viewed through ``GeneralDataset.from_balanced``.  Data with no
+    residual variation raise DegenerateDataError (``_cluster_lines``), as
+    ``fit_balanced``'s do, before any search.
     """
     pieces = data if isinstance(data, _GeneralPieces) else _GeneralPieces(data)
+    lines = _cluster_lines(pieces)
     n_evals, converged = 0, False
     if start is not None:
         full, full_value, n_evals, converged = _search(pieces, _boxed(start))
     if not converged:
-        full, full_value, n_cold, converged = _search(pieces, _general_moment_start(pieces))
+        full, full_value, n_cold, converged = _search(pieces, _general_moment_start(pieces, lines))
         n_evals += n_cold
         if not full_value < 1e30:
             raise DegenerateDataError("restricted likelihood is unusable at the starting point")
@@ -831,23 +834,41 @@ def _newton_step(x, g, hess):
     return step if np.abs(_capped(x + step) - x).max() > _STEP_FLOOR else None
 
 
-def _general_moment_start(pieces):
-    """Rough moment-based starting theta of the Newton search.
-
-    Each cluster with spread in x gets its OLS coefficients (a_k, b_k) on
-    [1, x], solved from C_k and H_k'y_k.  sigma2_e is the pooled OLS
-    residual variance of the clusters with at least three rows (or the
-    variance of y, if they leave none), and the spread and correlation of
-    the coefficients, less that noise, give lambda_c, lambda_s and rho.
+def _cluster_lines(pieces):
+    """(ok, a, b, rss): the least-squares lines a + b x of the clusters with spread
+    in x (ok), and each cluster's rss about its line, or about its mean where x is
+    constant.  Raises DegenerateDataError if some cluster has rows to spare yet the
+    pooled rss is at or below its rounding floor n eps y'y (as in
+    ``sufficient_stats``): every cluster then lies on its own line, and the
+    restricted likelihood grows without bound as sigma2_e falls to 0.
     """
     (c00, c01), (_, c11) = pieces.c.transpose(1, 2, 0)
     hy0, hy1 = pieces.z[:, :, -1].T
     det = c00 * c11 - c01 * c01
     ok = det > 1e-12 * c00 * c11  # above the rounding of det, which is 0 for constant x
-    a, b = np.stack([c11 * hy0 - c01 * hy1, c00 * hy1 - c01 * hy0])[:, ok] / det[ok]
-    rss = np.add.reduceat(pieces.y * pieces.y, pieces.starts)[ok] - a * hy0[ok] - b * hy1[ok]
-    pooled = c00[ok] >= 3
-    rss, df = float(rss[pooled].sum()), float((c00[ok][pooled] - 2.0).sum())
+    a, b = (c11 * hy0 - c01 * hy1)[ok] / det[ok], (c00 * hy1 - c01 * hy0)[ok] / det[ok]
+    yy = np.add.reduceat(pieces.y * pieces.y, pieces.starts)
+    rss = yy - hy0 * hy0 / c00
+    rss[ok] = yy[ok] - a * hy0[ok] - b * hy1[ok]
+    n = pieces.y.size
+    if n > pieces.k + np.count_nonzero(ok) and rss.sum() <= n * math.ulp(1.0) * yy.sum():
+        raise DegenerateDataError("no within-cluster residual variation: "
+                                  "every cluster lies on its own line")
+    return ok, a, b, rss
+
+
+def _general_moment_start(pieces, lines):
+    """Rough moment-based starting theta of the Newton search.
+
+    sigma2_e is the pooled residual variance about the lines (``_cluster_lines``)
+    of the clusters with spread in x and at least three rows (or the variance of
+    y, if they leave none), and the spread and correlation of the lines' (a_k,
+    b_k), less that noise, give lambda_c, lambda_s and rho.
+    """
+    ok, a, b, rss = lines
+    c00 = pieces.c[ok, 0, 0]
+    pooled = c00 >= 3
+    rss, df = float(rss[ok][pooled].sum()), float((c00[pooled] - 2.0).sum())
     s2e0 = rss / df if df > 0 and rss > 0 else max(float(np.var(pieces.y)), 1e-8)
     if a.size < 3:
         return 0.5, 0.5, 0.0

@@ -209,6 +209,48 @@ class TestSimulateAndFit:
         assert "engine" not in stdout
         assert not out.exists()
 
+    def test_unbalanced_file_on_exact_lines_is_data_error(self, capsys, tmp_path):
+        # every cluster (5 rows, the last 3) lies exactly on its own line:
+        # the general engine refuses the data as the balanced one does
+        data = tmp_path / "d.csv"
+        out = tmp_path / "fit.json"
+        run_cli(capsys, "simulate", "--N", "30", "--s", "5",
+                "--sigma2-e", "0", "--sigma2-c", "1", "--sigma2-s", "1",
+                "--rho", "0.2", "--seed", "1", "--out", str(data))
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:-2]) + "\n")
+        code, stdout, err = run_cli(capsys, "fit", "--data", str(data),
+                                    "--out", str(out))
+        assert code == 2
+        assert "data error: no within-cluster residual variation" in err
+        assert "engine" not in stdout
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, label", [
+        ((), "GOOD"), (("--rho-tol", "0.9"), "RHO_PLUS_ONE"),
+        (("--var-ratio-tol", "10"), "ZERO_VARIANCE"),
+        (("--rho-tol", "0.9", "--var-ratio-tol", "10"), "ZERO_VARIANCE")])
+    def test_tolerance_flags_relabel_the_fit(self, capsys, tmp_path, flags, label):
+        # rho_hat = 0.559, sigma2_c / sigma2_e = 0.60, sigma2_s / sigma2_e = 0.56
+        data = tmp_path / "d.csv"
+        out = tmp_path / "fit.json"
+        run_cli(capsys, "simulate", "--N", "30", "--s", "5",
+                "--sigma2-e", "2", "--sigma2-c", "1", "--sigma2-s", "1",
+                "--rho", "0.5", "--seed", "4", "--out", str(data))
+        code, stdout, _ = run_cli(capsys, "fit", "--data", str(data),
+                                  "--out", str(out), *flags)
+        assert code == 0
+        assert f"classification = {label}" in stdout
+        assert json.loads(out.read_text())["classification"] == label
+
+    @pytest.mark.parametrize("flag", ["--rho-tol", "--var-ratio-tol"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_non_positive_tolerance_is_usage_error(self, capsys, tmp_path, flag, value):
+        code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "d.csv"),
+                               "--out", str(tmp_path / "o.json"), flag, value)
+        assert code == 1
+        assert f"usage error: {flag} must be > 0" in err
+
     def test_fixed_spec_selects_general_engine(self, capsys, tmp_path):
         data = tmp_path / "d.csv"
         out = tmp_path / "fit.json"
@@ -267,6 +309,36 @@ class TestExperimentCommand:
         with open(sweep, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 21
+
+    def test_predictor_sweep_takes_a_negative_seed(self, capsys, tmp_path):
+        # the seed is reduced modulo 2**64, as simulate's and experiment A's are
+        sweeps = []
+        for seed in ("-5", str(2 ** 64 - 5)):
+            out_dir = tmp_path / seed
+            code, _, err = run_cli(capsys, "experiment", "predictor-sweep",
+                                   "--reps", "20", "--seed", seed,
+                                   "--out-dir", str(out_dir))
+            assert (code, err) == (0, "")
+            sweeps.append((out_dir / "predictor_sweep.csv").read_bytes())
+        assert sweeps[0] == sweeps[1]
+
+    def test_fix_error_variance_mode(self, capsys, tmp_path):
+        # A1 has r = 10: fix_error draws sigma2_e = 1 and random-effect
+        # variances 1/10, fix_random_effects sigma2_e = 10 and variances 1
+        estimates = {}
+        for mode in ("fix_error", "fix_random_effects"):
+            out_dir = tmp_path / mode
+            code, _, _ = run_cli(capsys, "experiment", "A", "--reps", "3",
+                                 "--variance-mode", mode, "--out-dir", str(out_dir))
+            assert code == 0
+            with open(out_dir / "experiment_A_replicates.csv", newline="") as fh:
+                estimates[mode] = [float(row["sigma2_e"]) for row in csv.DictReader(fh)
+                                   if row["setting"] == "A1"]
+        assert len(estimates["fix_error"]) == 3
+        for s2e in estimates["fix_error"]:
+            assert 0.9 < s2e < 1.1
+        for s2e in estimates["fix_random_effects"]:
+            assert 9.0 < s2e < 11.0
 
     def test_tiny_factorial_run(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "experiment", "factorial",
@@ -378,6 +450,23 @@ class TestInvivoCommand:
                                "--out-dir", str(tmp_path))
         assert code == 2
         assert "data error: line 6: non-finite value" in err
+        assert not (tmp_path / "invivo_sweep.csv").exists()
+
+    def test_constant_families_is_data_error(self, capsys, tmp_path):
+        # log10(families) with no spread cannot be standardized
+        path = tmp_path / "hmo.csv"
+        write_hmo_csv(make_surrogate(), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[2] = "500"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code, _, err = run_cli(capsys, "invivo", "--data", str(path),
+                               "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == ("data error: families enrolled is the same on every plan; "
+                       "its coefficient is not estimable\n")
         assert not (tmp_path / "invivo_sweep.csv").exists()
 
     def test_missing_premium_file(self, capsys, tmp_path):

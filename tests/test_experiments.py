@@ -9,7 +9,7 @@ from remlab import (AnovaRow, Classification, ExperimentSetting, RepRecord,
                     VarianceMode, anova_balanced, derive_seed,
                     experiment_catalog, factorial_grid, interaction_plot_data,
                     ls_means, predictor_minus_one, predictor_plus_one,
-                    run_replicate, run_setting, run_settings,
+                    run_replicate, run_settings,
                     sign_test_plus_vs_minus, summarize, two_proportion_pvalue,
                     with_reps)
 from remlab.errors import EstimabilityError
@@ -246,13 +246,13 @@ class TestRunSettings:
 
     def test_run_setting_single(self):
         st = ExperimentSetting("solo", "P", 20, 5, 0.0, 10.0, 4)
-        sm, recs = run_setting(st, 9)
+        [sm], recs = run_settings([st], 9)
         assert sm.setting is st
         assert len(recs) == 4
 
     def test_csv_floats_use_plain_repr(self, tmp_path):
         st = ExperimentSetting("solo", "P", 20, 5, 0.0, 10.0, 2)
-        _, recs = run_setting(st, 9)
+        _, recs = run_settings([st], 9)
         path = tmp_path / "r.csv"
         write_replicate_csv(recs, path)
         text = path.read_text()
@@ -451,13 +451,13 @@ class TestFactorialGrid:
         assert half_ids <= full_ids
 
     def test_options_propagate(self):
-        grid = factorial_grid(n_grid=[50], s_grid=[5], rho_grid=[-0.5],
-                              log10_r_grid=[1.0], reps=3,
+        grid = factorial_grid(reps=3, scale=0.1,
                               variance_mode=VarianceMode.FIX_ERROR)
-        assert len(grid) == 1
+        assert len(grid) == 1  # scale 0.1 keeps the first level of each grid
         assert grid[0].reps == 3
         assert grid[0].variance_mode is VarianceMode.FIX_ERROR
-        assert grid[0].r == 10.0
+        assert (grid[0].n_clusters, grid[0].cluster_size, grid[0].rho, grid[0].r) == (
+            50, 5, -0.9, 1.0)
 
     def test_scale_validated(self):
         with pytest.raises(ValueError):

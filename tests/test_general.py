@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from remlab import (Classification, DataError, DesignSpec, FixedEffects,
+from remlab import (Classification, DataError, DegenerateDataError, DesignSpec, FixedEffects,
                     GeneralDataset, VarianceParams, derive_seed, eblups,
                     experiment_catalog, fit_balanced, fit_general,
                     log_rl_dense_oracle, read_general_csv, simulate)
 from remlab import reml_core
 from remlab.invivo import default_phi_grid, inflated_datasets, make_surrogate
-from remlab.reml_core import (_chol, _general_moment_start, _GeneralPieces, _newton,
-                              _theta)
+from remlab.reml_core import (_chol, _cluster_lines, _general_moment_start, _GeneralPieces,
+                              _newton, _theta)
 
 
 def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
@@ -216,6 +216,11 @@ class TestBatchedGradient:
         assert fits[2].params.sigma2_c == fits[2].params.sigma2_s == 0.0
 
 
+def moment_start(data):
+    pieces = _GeneralPieces(data)
+    return _general_moment_start(pieces, _cluster_lines(pieces))
+
+
 def lstsq_moment_start(data):
     """The moment start computed cluster by cluster with ``lstsq``: the
     reference for ``_general_moment_start``."""
@@ -248,9 +253,8 @@ class TestMomentStart:
         # the normal equations lose about log10(y'y / rss) digits against
         # lstsq, far fewer than the 9 that this tolerance leaves
         data = unbalanced_dataset(seed=seed)
-        np.testing.assert_allclose(
-            _general_moment_start(_GeneralPieces(data)),
-            lstsq_moment_start(data), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(moment_start(data), lstsq_moment_start(data),
+                                   rtol=1e-9, atol=1e-12)
 
     def test_few_spread_clusters_fall_back(self):
         # singletons carry no slope: with two usable clusters the start is
@@ -259,7 +263,7 @@ class TestMomentStart:
         data = GeneralDataset(x=x, X=np.column_stack([np.ones_like(x), x]),
                               y=np.array([1.0, 2.0, 4.0, 0.0, 1.0, 1.0, 3.0, 2.0]),
                               sizes=[3, 3, 1, 1])
-        start = _general_moment_start(_GeneralPieces(data))
+        start = moment_start(data)
         assert start == lstsq_moment_start(data) == (0.5, 0.5, 0.0)
 
 
@@ -578,6 +582,29 @@ class TestGeneralValidation:
         with pytest.raises(DataError, match="rank deficient"):
             fit_general(GeneralDataset(x=x, X=X, y=np.concatenate(ys),
                                        sizes=[4] * 5))
+
+
+    @pytest.mark.parametrize("start", [None, (1.0, 1.0, 0.3)])
+    def test_data_on_exact_lines_raise(self, start):
+        # noise-free data: fit_balanced refuses them (rss = 0), and so must
+        # the general engine, also from a start, where no moment start runs
+        data = simulate(DesignSpec(20, 5), FixedEffects(3.0, -1.0),
+                        VarianceParams(0.0, 1.0, 1.0, 0.3), 1)
+        with pytest.raises(DegenerateDataError, match="rss = 0"):
+            fit_balanced(data)
+        with pytest.raises(DegenerateDataError, match="no within-cluster residual variation"):
+            fit_general(GeneralDataset.from_balanced(data), start=start)
+
+    def test_noise_in_a_cluster_with_constant_x_is_residual_variation(self):
+        # only the cluster with one x value has noise; it measures sigma2_e,
+        # so the likelihood is bounded and the fit runs
+        gen = GeneralDataset.from_balanced(simulate(
+            DesignSpec(20, 5), FixedEffects(3.0, -1.0), VarianceParams(0.0, 1.0, 1.0, 0.3), 1))
+        x = np.append(gen.x, [0.3, 0.3, 0.3])
+        fit = fit_general(GeneralDataset(
+            x=x, X=np.column_stack([np.ones_like(x), x]), y=np.append(gen.y, [1.0, 2.0, 1.5]),
+            sizes=[*gen.sizes, 3]))
+        assert fit.converged and fit.params.sigma2_e > 1e-3
 
 
 class TestGeneralCsv:

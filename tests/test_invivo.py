@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from remlab import (Classification, HmoDataset, fit_hmo, ingest_hmo,
-                    make_surrogate, phi_sweep, write_hmo_csv)
+from remlab import (Classification, HmoDataset, ingest_hmo, make_surrogate,
+                    phi_sweep, write_hmo_csv)
 from remlab import invivo
 from remlab.errors import DataError
 from remlab.invivo import (default_phi_grid, inflated_datasets,
@@ -23,18 +23,17 @@ def surrogate():
 
 class TestSurrogate:
     def test_shape_profile(self, surrogate):
-        assert surrogate.n_states == 45
+        sizes = surrogate.to_general().sizes
+        assert len(sizes) == len(set(surrogate.state.tolist())) == 45
         assert surrogate.n_plans == 341
-        sizes = surrogate.cluster_sizes()
         assert sizes.sum() == 341
         assert int(np.median(sizes)) == 5
         assert sizes.min() == 1 and sizes.max() == 31
         assert surrogate.source == "surrogate"
 
     def test_six_new_england_states(self, surrogate):
-        _, _, ne_std = surrogate.standardized_design()
         flags = {lab: surrogate.new_england[surrogate.state == lab][0]
-                 for lab in surrogate.states}
+                 for lab in set(surrogate.state.tolist())}
         assert sum(1 for v in flags.values() if v == 1) == 6
 
     def test_deterministic(self):
@@ -60,14 +59,18 @@ class TestSurrogate:
 
 class TestStandardizedDesign:
     def test_plan_regressor_standardized_over_plans(self, surrogate):
-        z, e_std, ne_std = surrogate.standardized_design()
+        z, _, _ = surrogate.standardized_design()
         np.testing.assert_allclose(z.mean(), 0.0, atol=1e-12)
         np.testing.assert_allclose(z.std(ddof=0), 1.0, rtol=1e-12)
 
     def test_state_covariates_standardized_over_states(self, surrogate):
-        _, e_std, ne_std = surrogate.standardized_design()
-        for mapping in (e_std, ne_std):
-            vals = np.array(list(mapping.values()))
+        _, e, ne = surrogate.standardized_design()
+        _, first = np.unique(surrogate.state, return_index=True)
+        for col in (e, ne):
+            assert col.shape == (341,)
+            vals = col[np.sort(first)]  # one value per state
+            for lab, v in zip(surrogate.state[np.sort(first)], vals):
+                assert np.all(col[surrogate.state == lab] == v)
             assert vals.shape == (45,)
             np.testing.assert_allclose(vals.mean(), 0.0, atol=1e-12)
             np.testing.assert_allclose(vals.std(ddof=0), 1.0, rtol=1e-12)
@@ -80,6 +83,29 @@ class TestStandardizedDesign:
             exp_per_admission=np.array([5.0, 5.0, 5.0, 5.0]),
             new_england=np.array([1, 1, -1, -1]))
         with pytest.raises(DataError, match="constant"):
+            data.standardized_design()
+
+
+    def test_constant_families_rejected(self):
+        data = HmoDataset(
+            state=np.array(["a", "a", "b", "b"]),
+            premium=np.array([1.0, 2.0, 3.0, 4.0]),
+            families=np.array([30, 30, 30, 30]),
+            exp_per_admission=np.array([5.0, 5.0, 6.0, 6.0]),
+            new_england=np.array([1, 1, -1, -1]))
+        with pytest.raises(DataError, match="families enrolled is the same"):
+            data.standardized_design()
+
+    def test_equal_values_are_constant_whatever_their_rounding(self):
+        # the std of 45 equal expenses is not exactly 0 in floating point
+        k = 45
+        e = np.full(k, 4000.1)
+        assert e.std(ddof=0) != 0.0
+        data = HmoDataset(
+            state=np.repeat(np.arange(k), 2), premium=np.arange(2.0 * k),
+            families=np.arange(10, 10 + 2 * k), exp_per_admission=np.repeat(e, 2),
+            new_england=np.repeat(np.where(np.arange(k) < 6, 1, -1), 2))
+        with pytest.raises(DataError, match="state-level covariate is constant"):
             data.standardized_design()
 
 
@@ -172,15 +198,26 @@ class TestIngest:
 
 class TestFit:
     def test_matches_general_engine(self, surrogate):
-        direct = fit_general(surrogate.to_general())
-        via = fit_hmo(surrogate)
+        # to_general is the state-by-state build of X = [1, z, e, ne]
+        z, e, ne = surrogate.standardized_design()
+        _, first = np.unique(surrogate.state, return_index=True)
+        blocks = [np.flatnonzero(surrogate.state == surrogate.state[i])
+                  for i in np.sort(first)]
+        rows = np.concatenate(blocks)
+        by_hand = GeneralDataset(
+            x=z[rows], X=np.column_stack([np.ones(len(z)), z, e, ne])[rows],
+            y=surrogate.premium[rows], sizes=[len(b) for b in blocks])
+        gen = surrogate.to_general()
+        for name in ("x", "X", "y", "sizes"):
+            np.testing.assert_array_equal(getattr(gen, name), getattr(by_hand, name))
+        direct, via = fit_general(by_hand), fit_general(gen)
         np.testing.assert_allclose(via.beta, direct.beta, rtol=0.0)
         assert via.log_rl == direct.log_rl
         assert via.classification is direct.classification
 
     def test_frozen_baseline_fit(self, surrogate):
         # the exact maximiser, from a 60-digit Newton solve on the same data
-        fit = fit_hmo(surrogate)
+        fit = fit_general(surrogate.to_general())
         assert fit.classification is Classification.GOOD
         np.testing.assert_allclose(
             fit.beta, [180.66329686984187, -2.6364144244971690,
@@ -219,10 +256,12 @@ class TestFit:
             exp_per_admission=surrogate.exp_per_admission[perm],
             new_england=surrogate.new_england[perm], source="surrogate")
         runs = 1 + int(np.sum(shuffled.state[1:] != shuffled.state[:-1]))
-        assert runs > shuffled.n_states
+        _, first, counts = np.unique(shuffled.state, return_index=True,
+                                     return_counts=True)
+        assert runs > len(first)
         np.testing.assert_array_equal(shuffled.to_general().sizes,
-                                      shuffled.cluster_sizes())
-        a, b = fit_hmo(surrogate), fit_hmo(shuffled)
+                                      counts[np.argsort(first)])
+        a, b = (fit_general(d.to_general()) for d in (surrogate, shuffled))
         assert b.classification is a.classification
         np.testing.assert_allclose(
             [b.params.sigma2_e, b.params.sigma2_c, b.params.sigma2_s,
@@ -260,7 +299,7 @@ class TestPhiSweep:
         # phi = 1 reproduces the data, phi = 2 pins the correlation at +1,
         # phi = 2.8 collapses a variance to zero (frozen behavior)
         rows = phi_sweep(surrogate, phis=[1.0, 2.0, 2.8])
-        base = fit_hmo(surrogate)
+        base = fit_general(surrogate.to_general())
 
         r1 = rows[0]
         assert r1.classification is Classification.GOOD

@@ -72,7 +72,6 @@ class TestMomentQ:
 class TestDesignSpec:
     def test_derived_quantities(self):
         d = DesignSpec(100, 9)
-        assert d.m == 4
         assert d.q == 3.75
         assert d.n_total == 900
         np.testing.assert_array_equal(d.h, build_h(9))
