@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -180,14 +181,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     tol = _tolerances(args)
     out = _out_path(args.out)
-    fixed_columns: tuple = ()
+    fixed_columns = ()
     if args.fixed_spec is not None:
         try:
             with open(args.fixed_spec) as fh:
-                spec = json.load(fh)
-            fixed_columns = tuple(spec["columns"])
+                fixed_columns = json.load(fh)["columns"]
         except (OSError, KeyError, ValueError, TypeError) as exc:
             raise DataError(f"bad fixed-effects spec: {exc}") from exc
+        if not (isinstance(fixed_columns, list)
+                and all(isinstance(c, str) for c in fixed_columns)):
+            raise DataError("bad fixed-effects spec: columns must be a JSON list of strings")
     rows = parse_dataset_rows(args.data)
     data = None
     if not fixed_columns:
@@ -328,39 +331,37 @@ def _cmd_anova(args) -> int:
     factors = [f.strip() for f in args.factors.split(",") if f.strip()]
     if not factors:
         raise UsageError("--factors must name at least one column")
-    table: dict[str, list] = {}
+    if args.ls_means is not None and args.ls_means not in factors:
+        raise UsageError("--ls-means must name one of the factors")
     try:
-        fh = open(args.table, newline="")
+        with open(args.table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {args.table}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError("empty table")
-        missing = [c for c in factors + [args.response]
-                   if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"table lacks columns: {', '.join(missing)}")
-        for col in reader.fieldnames:
-            table[col] = []
-        for row in reader:
-            for col in reader.fieldnames:
-                table[col].append(row[col])
+    if not rows:
+        raise DataError(f"{args.table}: no data rows")
+    missing = [c for c in factors + [args.response] if c not in rows[0]]
+    if missing:
+        raise DataError(f"table lacks columns: {', '.join(missing)}")
+    table = {}
     for col in factors + [args.response]:
+        table[col] = [row[col] for row in rows]
+        if None in table[col]:
+            raise DataError(f"{args.table}: a row has fewer fields than the header")
         try:
             table[col] = [float(v) for v in table[col]]
         except ValueError:
             if col == args.response:
                 raise DataError(f"response column {args.response!r} "
                                 f"is not numeric") from None
+    if not all(map(math.isfinite, table[args.response])):
+        raise DataError(f"response column {args.response!r} has a non-finite value")
 
     rows = _ex.anova_balanced(table, factors, args.response)
     print(f"{'term':24s} {'df':>5s} {'SS':>14s} {'MS':>14s}")
     for r in rows:
         print(f"{r.term:24s} {r.df:5d} {r.ss:14.6g} {r.ms:14.6g}")
     if args.ls_means is not None:
-        if args.ls_means not in factors:
-            raise UsageError("--ls-means must name one of the factors")
         means = _ex.ls_means(table, factors, args.response, args.ls_means)
         print(f"\nLS-means for {args.ls_means}:")
         for lev, mean in means.items():

@@ -9,23 +9,24 @@ means, and interaction-plot aggregation.
 Reproducibility model: every replicate's seed is derived from
 (master_seed, setting id, replicate index) by hashing, so results are
 independent of execution order and of the parallelism degree.  Summaries
-are pure reductions over the sorted replicate records.
+are pure reductions over the replicate records, in (setting, rep) order.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from .errors import EstimabilityError
-from .model_system import DesignSpec, VarianceMode, VarianceParams, simulate_stats
+from .model_system import (DesignSpec, VarianceMode, VarianceParams, simulate_stats,
+                           write_csv)
 from .predictor import predictor_minus_one, predictor_plus_one
 from .reml_core import Classification, fit_balanced
 
@@ -276,9 +277,10 @@ def run_settings(settings: list[ExperimentSetting], master_seed: int,
     """Run many settings, optionally across processes.
 
     The output is deterministic for a given master seed: replicate seeds
-    are derived per (setting, rep), and records are sorted by
-    (setting order, rep) before aggregation, so any parallelism degree
-    produces identical summaries and records.
+    are derived per (setting, rep), and tasks are built in (setting order,
+    rep) order, which the serial loop and ``pool.map`` both return them in.
+    So the records come back in that order at any parallelism degree, and
+    each setting's are the next ``st.reps`` of them.
     """
     ids = [st.id for st in settings]
     if len(set(ids)) != len(ids):
@@ -294,13 +296,9 @@ def run_settings(settings: list[ExperimentSetting], master_seed: int,
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             chunks = list(pool.map(_run_chunk, tasks, chunksize=1))
 
-    by_setting: dict[str, list[RepRecord]] = {st.id: [] for st in settings}
-    for chunk in chunks:
-        for rec in chunk:
-            by_setting[rec.setting].append(rec)
-    groups = [sorted(by_setting[st.id], key=lambda r: r.rep)
-              for st in settings]
-    records = [rec for recs in groups for rec in recs]
+    records = [rec for chunk in chunks for rec in chunk]
+    rest = iter(records)
+    groups = [list(itertools.islice(rest, st.reps)) for st in settings]
     return _summaries(settings, groups), records
 
 
@@ -366,9 +364,14 @@ class AnovaRow:
 
 
 def _factor_levels(table: dict, factors: list[str]) -> dict:
-    """Sorted observed levels of each factor column."""
-    return {name: sorted(set(np.asarray(table[name]).tolist()))
-            for name in factors}
+    """Sorted observed levels of each factor column; EstimabilityError names
+    a factor with fewer than two."""
+    levels = {name: sorted(set(np.asarray(table[name]).tolist())) for name in factors}
+    for name, lev in levels.items():
+        if len(lev) < 2:
+            raise EstimabilityError(f"factor {name!r} has fewer than two levels; "
+                                    f"its effect is not estimable")
+    return levels
 
 
 def _effects_blocks(columns: dict, factors: list[str], levels: dict,
@@ -425,8 +428,9 @@ def anova_balanced(table: dict, factors: list[str], response: str,
         plus the pooled remainder.
 
     Raises:
-        EstimabilityError: if a term's block is collinear with what came
-            before it (empty cells), naming the offending term.
+        EstimabilityError: if a factor has fewer than two levels, or a
+            term's block is collinear with what came before it (empty
+            cells), naming the factor or term.
     """
     y = np.asarray(table[response], dtype=float)
     n = y.shape[0]
@@ -525,44 +529,27 @@ def interaction_plot_data(summaries: list[SettingSummary],
 SUMMARY_HEADER = ["experiment", "setting", "N", "s", "rho", "r", "reps",
                   "pred_m1", "pred_p1", "pct_m1", "pct_p1", "pct_nan",
                   "pct_bad", "mc_se_bad"]
+# the SettingSummary attribute under each SUMMARY_HEADER column
+_SUMMARY_FIELDS = attrgetter(
+    "setting.experiment", "setting.id", "setting.n_clusters", "setting.cluster_size",
+    "setting.rho", "setting.r", "setting.reps", "pred_m1", "pred_p1", "pct_m1", "pct_p1",
+    "pct_nan", "pct_bad", "mc_se_bad")
 REPLICATE_HEADER = ["experiment", "setting", "rep", "seed", "sigma2_e",
                     "sigma2_c", "sigma2_s", "rho_hat", "classification",
                     "log_rl"]
+_INTERACTION_HEADER = ["log10_r", "level", "pct_bad", "pct_m1", "pct_p1", "pct_nan"]
 
 
 def write_summary_csv(summaries: list[SettingSummary], path) -> None:
     """Write setting summaries with full float precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_HEADER)
-        for sm in summaries:
-            st = sm.setting
-            w.writerow([st.experiment, st.id, st.n_clusters, st.cluster_size,
-                        repr(float(st.rho)), repr(float(st.r)), st.reps,
-                        repr(sm.pred_m1), repr(sm.pred_p1), repr(sm.pct_m1),
-                        repr(sm.pct_p1), repr(sm.pct_nan), repr(sm.pct_bad),
-                        repr(sm.mc_se_bad)])
+    write_csv(path, SUMMARY_HEADER, map(_SUMMARY_FIELDS, summaries))
 
 
 def write_replicate_csv(records: list[RepRecord], path) -> None:
     """Write per-replicate estimates with full float precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPLICATE_HEADER)
-        for r in records:
-            w.writerow([r.experiment, r.setting, r.rep, r.seed,
-                        repr(float(r.sigma2_e)), repr(float(r.sigma2_c)),
-                        repr(float(r.sigma2_s)), repr(float(r.rho_hat)),
-                        r.classification.value, repr(float(r.log_rl))])
+    write_csv(path, REPLICATE_HEADER, map(attrgetter(*REPLICATE_HEADER), records))
 
 
 def write_interaction_csv(rows: list[dict], path) -> None:
     """Write interaction-plot rows (one per log10 r and factor level)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["log10_r", "level", "pct_bad", "pct_m1", "pct_p1",
-                    "pct_nan"])
-        for row in rows:
-            w.writerow([repr(float(row["log10_r"])), row["level"],
-                        repr(row["pct_bad"]), repr(row["pct_m1"]),
-                        repr(row["pct_p1"]), repr(row["pct_nan"])])
+    write_csv(path, _INTERACTION_HEADER, map(itemgetter(*_INTERACTION_HEADER), rows))

@@ -20,11 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import DataError
-from .model_system import VarianceParams, philox
+from .model_system import VarianceParams, philox, write_csv
 from .reml_core import (Classification, ClassifyTolerances, FitResult,
                         GeneralDataset, _GeneralPieces, eblups, fit_general)
 
@@ -87,37 +88,10 @@ class HmoDataset:
                     f"state-level column {name!r} varies within "
                     f"state {lab!r}")
 
-    @property
-    def n_plans(self) -> int:
-        return int(self.premium.shape[0])
-
     def standardized_design(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Standardize the regressors as the model requires.
-
-        The plan-level regressor log10(families) is centered and scaled
-        over all plans; the two state-level covariates are centered and
-        scaled over states (each state counted once).
-
-        Returns:
-            (z, e, ne), each of shape (n,): the standardized plan-level
-            regressor and each plan's standardized state covariates.
-
-        Raises:
-            DataError: if a regressor is constant, so that its coefficient
-                is not estimable.
-        """
-        logf = np.log10(self.families.astype(float))
-        e_state = self.exp_per_admission[self._first_plan].astype(float)
-        ne_state = self.new_england[self._first_plan].astype(float)
-        # max == min, not std == 0: the std of equal values is often a rounding residue
-        if np.ptp(logf) == 0:
-            raise DataError("families enrolled is the same on every plan; "
-                            "its coefficient is not estimable")
-        if np.ptp(e_state) == 0 or np.ptp(ne_state) == 0:
-            raise DataError("a state-level covariate is constant; "
-                            "its coefficient is not estimable")
-        z, e, ne = ((v - v.mean()) / v.std(ddof=0) for v in (logf, e_state, ne_state))
-        return z, e[self._plan_state], ne[self._plan_state]
+        """Standardize the regressors as the model requires (``_standardize``)."""
+        return _standardize(self.families, self.exp_per_admission[self._first_plan],
+                            self.new_england[self._first_plan], self._plan_state)
 
     def to_general(self) -> GeneralDataset:
         """Build the general-engine dataset: X = [1, z, expenses, NE].
@@ -131,6 +105,32 @@ class HmoDataset:
         return GeneralDataset(x=z[rows], X=xmat[rows],
                               y=self.premium[rows].astype(float),
                               sizes=np.bincount(self._plan_state))
+
+
+def _standardize(families, e_state, ne_state, plan_state):
+    """The standardized regressors (z, e, ne) of each plan, each of shape (n,).
+
+    log10(families), one value per plan, is centered and scaled over plans;
+    the state covariates e_state and ne_state, one value per state, are
+    centered and scaled over states (each state counted once) and given to
+    each plan through its state index plan_state.
+
+    Raises:
+        DataError: if a regressor is constant, so that its coefficient is
+            not estimable.
+    """
+    logf = np.log10(families.astype(float))
+    e_state = e_state.astype(float)
+    ne_state = ne_state.astype(float)
+    # max == min, not std == 0: the std of equal values is often a rounding residue
+    if np.ptp(logf) == 0:
+        raise DataError("families enrolled is the same on every plan; "
+                        "its coefficient is not estimable")
+    if np.ptp(e_state) == 0 or np.ptp(ne_state) == 0:
+        raise DataError("a state-level covariate is constant; "
+                        "its coefficient is not estimable")
+    z, e, ne = ((v - v.mean()) / v.std(ddof=0) for v in (logf, e_state, ne_state))
+    return z, e[plan_state], ne[plan_state]
 
 
 def ingest_hmo(path, source: str = "canonical") -> HmoDataset:
@@ -169,14 +169,10 @@ def ingest_hmo(path, source: str = "canonical") -> HmoDataset:
 
 def write_hmo_csv(data: HmoDataset, path) -> None:
     """Write a dataset in the format `ingest_hmo` reads."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_HMO_HEADER)
-        for i in range(data.n_plans):
-            w.writerow([data.state[i], repr(float(data.premium[i])),
-                        int(data.families[i]),
-                        repr(float(data.exp_per_admission[i])),
-                        int(data.new_england[i])])
+    write_csv(path, _HMO_HEADER, zip(data.state.tolist(), data.premium.tolist(),
+                                     data.families.astype(int).tolist(),
+                                     data.exp_per_admission.tolist(),
+                                     data.new_england.astype(int).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +225,18 @@ def make_surrogate(seed: int = _DEFAULT_SURROGATE_SEED) -> HmoDataset:
     ne_state = np.full(k, -1, dtype=int)
     ne_state[ne_states] = 1
 
-    data = HmoDataset(
-        state=np.repeat(np.array(labels), sizes),
-        premium=np.zeros(int(sizes.sum())), families=families,
-        exp_per_admission=np.repeat(expenses_state, sizes),
-        new_england=np.repeat(ne_state, sizes), source="surrogate")
-
     # Standardize exactly as the fit will, then simulate the response.
-    z, e, ne = data.standardized_design()
+    plan_state = np.repeat(np.arange(k), sizes)
+    z, e, ne = _standardize(families, expenses_state, ne_state, plan_state)
     b0, b1, b_e, b_ne = _SURROGATE_BETA
     vp = VarianceParams(*_SURROGATE_VARIANCE)
-    u = (rng.standard_normal((k, 2)) @ vp.sigma_cholesky().T)[data._plan_state]
+    u = (rng.standard_normal((k, 2)) @ vp.sigma_cholesky().T)[plan_state]
     eps = rng.standard_normal(z.shape[0]) * math.sqrt(vp.sigma2_e)
     y = b0 + b1 * z + b_e * e + b_ne * ne + u[:, 0] + u[:, 1] * z + eps
-    return replace(data, premium=y)
+    return HmoDataset(
+        state=np.repeat(np.array(labels), sizes), premium=y, families=families,
+        exp_per_admission=np.repeat(expenses_state, sizes),
+        new_england=np.repeat(ne_state, sizes), source="surrogate")
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +353,5 @@ SWEEP_HEADER = ["phi", "rho_hat", "sigma2_e", "sigma2_e_over_phi2",
 
 def write_sweep_csv(rows: list[InvivoRow], path, source: str) -> None:
     """Write sweep rows; the trailing column records the data source."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SWEEP_HEADER)
-        for r in rows:
-            w.writerow([repr(r.phi), repr(r.rho_hat), repr(r.sigma2_e),
-                        repr(r.sigma2_e_over_phi2), repr(r.sigma2_c),
-                        repr(r.sigma2_s), r.classification.value, source])
+    fields = attrgetter(*SWEEP_HEADER[:-1])
+    write_csv(path, SWEEP_HEADER, ((*fields(r), source) for r in rows))

@@ -386,15 +386,22 @@ def _stats(design, sums, rss):
 _HEADER = ["cluster", "j", "x", "y"]
 
 
-def write_dataset_csv(data, path):
-    """Write a dataset as rows (cluster, j, x, y), full float precision."""
-    h = data.design.h
+def write_csv(path, header, rows):
+    """Write a header row, then rows of Python scalars: every CSV the package
+    writes.  csv writes a cell through ``str``, so a float is the shortest
+    string that reads back to the same double and a ``str`` enum its value."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for i in range(data.design.n_clusters):
-            for j in range(data.design.cluster_size):
-                writer.writerow([i + 1, j + 1, repr(float(h[j])), repr(float(data.y[i, j]))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_dataset_csv(data, path):
+    """Write a dataset as rows (cluster, j, x, y), full float precision."""
+    h = data.design.h.tolist()
+    # one cluster's row at a time: whole columns as lists would hold every cell at once
+    write_csv(path, _HEADER, ((i, j, x, y) for i, ys in enumerate(data.y, start=1)
+                              for j, (x, y) in enumerate(zip(h, ys.tolist()), start=1)))
 
 
 class DatasetRows:

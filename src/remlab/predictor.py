@@ -22,11 +22,9 @@ comparison.  All evaluators accept scalars or numpy arrays.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
-from .model_system import philox
+from .model_system import philox, write_csv
 
 __all__ = [
     "predictor_minus_one",
@@ -157,15 +155,5 @@ def predictor_sweep(seed, n_draws=1000):
 
 
 def write_sweep_csv(table, path):
-    """Write a sweep table at full float precision."""
-    cols = list(table.keys())
-    n = len(table[cols[0]])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for i in range(n):
-            row = []
-            for c in cols:
-                v = table[c][i]
-                row.append(int(v) if c in ("draw", "n_clusters", "cluster_size") else repr(float(v)))
-            writer.writerow(row)
+    """Write a sweep table (numpy columns, as ``predictor_sweep`` returns) at full precision."""
+    write_csv(path, list(table), zip(*(column.tolist() for column in table.values())))

@@ -263,23 +263,6 @@ class FitResult:
             json.dump(self.to_json_dict(), fh, indent=2)
             fh.write("\n")
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            params=VarianceParams(d["sigma2_e"], d["sigma2_c"], d["sigma2_s"], d["rho"]),
-            classification=Classification(d["classification"]),
-            log_rl=d["log_rl"],
-            converged=d["converged"],
-            n_evals=d["n_evals"],
-            boundary_variance=d["boundary_variance"],
-            beta=np.array(d["beta"], dtype=float) if "beta" in d else None,
-        )
-
-    @classmethod
-    def read_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def _boundary_variance_tag(lc2, ls2, tol):
     c_zero = lc2 <= tol.variance_ratio

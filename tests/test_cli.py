@@ -251,9 +251,10 @@ class TestSimulateAndFit:
         assert code == 1
         assert f"usage error: {flag} must be > 0" in err
 
-    def test_fixed_spec_selects_general_engine(self, capsys, tmp_path):
+    @staticmethod
+    def _data_with_z(capsys, tmp_path):
+        """A balanced dataset CSV with one extra column, z."""
         data = tmp_path / "d.csv"
-        out = tmp_path / "fit.json"
         run_cli(capsys, "simulate", "--N", "40", "--s", "5",
                 "--sigma2-e", "2", "--sigma2-c", "1", "--sigma2-s", "1",
                 "--rho", "0.3", "--seed", "3", "--out", str(data))
@@ -264,6 +265,11 @@ class TestSimulateAndFit:
             row.append(repr(((7 * k) % 11) / 11.0))
         with open(data, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
+        return data
+
+    def test_fixed_spec_selects_general_engine(self, capsys, tmp_path):
+        data = self._data_with_z(capsys, tmp_path)
+        out = tmp_path / "fit.json"
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"columns": ["z"]}))
         code, stdout, _ = run_cli(capsys, "fit", "--data", str(data),
@@ -272,6 +278,19 @@ class TestSimulateAndFit:
         assert code == 0
         assert "engine         = general" in stdout
         assert len(json.loads(out.read_text())["beta"]) == 3
+
+    @pytest.mark.parametrize("columns", ["z", {"z": 1}])
+    def test_fixed_spec_columns_must_be_a_list_of_strings(self, capsys, tmp_path, columns):
+        # a string or an object iterates to column names, which must not pass
+        data = self._data_with_z(capsys, tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"columns": columns}))
+        code, stdout, err = run_cli(capsys, "fit", "--data", str(data),
+                                    "--out", str(tmp_path / "fit.json"),
+                                    "--fixed-spec", str(spec))
+        assert code == 2
+        assert "bad fixed-effects spec" in err
+        assert stdout == ""
 
     def test_malformed_data_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "d.csv"
@@ -503,6 +522,31 @@ class TestAnovaCommand:
                                "--ls-means", "a")
         assert code == 0
         assert "LS-means for a" in out
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b,y\n1,1,2\n1,2,3\n1,1,4\n1,2,6\n", "factor 'a' has fewer than two levels"),
+        ("a,b,y\n", "no data rows"),
+        ("a,b,y\n1,1,2\n1,2,nan\n2,1,4\n2,2,6\n", "'y' has a non-finite value"),
+        ("a,b,y\n1,1,2\n1,2\n2,1,4\n2,2,6\n", "a row has fewer fields than the header"),
+    ], ids=["one_level_factor", "no_rows", "nan_response", "short_row"])
+    def test_unusable_table_is_data_error(self, capsys, tmp_path, text, message):
+        table = tmp_path / "t.csv"
+        table.write_text(text)
+        code, out, err = run_cli(capsys, "anova", "--table", str(table),
+                                 "--response", "y", "--factors", "a,b")
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    def test_ls_means_of_a_non_factor_prints_nothing(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("a,b,y\n0,0,1\n0,1,2\n1,0,3\n1,1,5\n")
+        code, out, err = run_cli(capsys, "anova", "--table", str(table),
+                                 "--response", "y", "--factors", "a,b",
+                                 "--ls-means", "y")
+        assert code == 1
+        assert "--ls-means must name one of the factors" in err
+        assert out == ""
 
     def test_missing_table(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "anova", "--table",

@@ -342,6 +342,14 @@ class TestAnova:
         with pytest.raises(EstimabilityError, match="'b'"):
             anova_balanced(table, ["a", "b"], "y")
 
+    def test_one_level_factor_not_estimable(self):
+        table = {"a": np.array([1, 1, 1, 1]), "b": np.array([1, 2, 1, 2]),
+                 "y": np.array([2.0, 3.0, 4.0, 6.0])}
+        with pytest.raises(EstimabilityError, match="factor 'a'"):
+            anova_balanced(table, ["a", "b"], "y")
+        with pytest.raises(EstimabilityError, match="factor 'a'"):
+            ls_means(table, ["a", "b"], "y", "b")
+
     def test_two_way_flag(self):
         # cyclic fraction of a 3x3: both mains estimable, interaction not
         a = np.array([0, 1, 2, 0, 1, 2])

@@ -25,7 +25,7 @@ class TestSurrogate:
     def test_shape_profile(self, surrogate):
         sizes = surrogate.to_general().sizes
         assert len(sizes) == len(set(surrogate.state.tolist())) == 45
-        assert surrogate.n_plans == 341
+        assert surrogate.premium.shape == (341,)
         assert sizes.sum() == 341
         assert int(np.median(sizes)) == 5
         assert sizes.min() == 1 and sizes.max() == 31
@@ -249,7 +249,7 @@ class TestFit:
     def test_interleaved_plan_rows_group_by_state(self, surrogate):
         # plans in random file order, so that states interleave: to_general
         # must still gather each state's plans into one cluster
-        perm = np.random.default_rng(1).permutation(surrogate.n_plans)
+        perm = np.random.default_rng(1).permutation(len(surrogate.premium))
         shuffled = HmoDataset(
             state=surrogate.state[perm], premium=surrogate.premium[perm],
             families=surrogate.families[perm],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from remlab import (Classification, ClassifyTolerances, ClusteredDataset,
-                    DegenerateDataError, DesignSpec, FitResult,
+                    DegenerateDataError, DesignSpec,
                     FixedEffects, GeneralDataset, SuffStats, VarianceParams,
                     classify, derive_seed, experiment_catalog, fit_balanced,
                     fit_general, log_restricted_likelihood, log_rl_dense_oracle,
@@ -270,19 +270,11 @@ class TestFitBalanced:
             fit = fit_general(GeneralDataset.from_balanced(medium_dataset))
         path = tmp_path / "fit.json"
         fit.write_json(path)
-        assert ("beta" in json.loads(path.read_text())) == (engine == "general")
-        back = FitResult.read_json(path)
-        assert back.classification is fit.classification
-        assert back.converged == fit.converged
-        np.testing.assert_allclose(
-            [back.params.sigma2_e, back.params.sigma2_c,
-             back.params.sigma2_s, back.params.rho, back.log_rl],
-            [fit.params.sigma2_e, fit.params.sigma2_c,
-             fit.params.sigma2_s, fit.params.rho, fit.log_rl], rtol=0.0)
-        if fit.beta is None:
-            assert back.beta is None
-        else:
-            np.testing.assert_array_equal(back.beta, fit.beta)
+        back = json.loads(path.read_text())
+        assert ("beta" in back) == (engine == "general")
+        # json writes a float as its repr, so every value reads back exactly
+        assert back == fit.to_json_dict()
+        assert back["classification"] == fit.classification.value
 
 
 # ---------------------------------------------------------------------------
