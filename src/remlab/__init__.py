@@ -30,14 +30,11 @@ _EXPORTS = {
     "reml_core": (
         "Classification", "ClassifyTolerances", "FitResult", "GeneralDataset",
         "classify", "eblups", "fit_balanced", "fit_general", "log_restricted_likelihood",
-        "log_rl_dense_oracle", "profile_sigma2_r", "profiled_log_rl", "profiled_rl_offset",
-        "read_general_csv",
     ),
     "experiments": (
         "AnovaRow", "ExperimentSetting", "RepRecord", "SettingSummary", "anova_balanced",
         "derive_seed", "experiment_catalog", "factorial_grid", "interaction_plot_data",
-        "ls_means", "run_replicate", "run_settings", "sign_test_plus_vs_minus",
-        "summarize", "two_proportion_pvalue", "with_reps",
+        "ls_means", "run_replicate", "run_settings", "summarize", "with_reps",
     ),
     "invivo": (
         "HmoDataset", "InvivoRow", "default_phi_grid", "ingest_hmo",

@@ -126,8 +126,10 @@ def _tolerances(args) -> ClassifyTolerances:
                           ("--var-ratio-tol", "variance_ratio",
                            args.var_ratio_tol)):
         if v is not None:
-            if not v > 0:
-                raise UsageError(f"{flag} must be > 0")
+            try:
+                ClassifyTolerances(**{name: v})
+            except ValueError as exc:  # "<name> must be ..., got <v>"
+                raise UsageError(flag + str(exc).removeprefix(name)) from None
             tol[name] = v
     return ClassifyTolerances(**tol)
 

@@ -2,9 +2,8 @@
 
 This module encodes a catalog of named experiments (A through G), a large
 factorial grid, and the analysis helpers used to summarize them: outcome
-percentages per setting, an exact sign test comparing the two correlation
-boundaries, a balanced-design ANOVA for the predictor sweep, least-squares
-means, and interaction-plot aggregation.
+percentages per setting, a balanced-design ANOVA for the predictor sweep,
+least-squares means, and interaction-plot aggregation.
 
 Reproducibility model: every replicate's seed is derived from
 (master_seed, setting id, replicate index) by hashing, so results are
@@ -306,47 +305,6 @@ def with_reps(settings: list[ExperimentSetting],
               reps: int) -> list[ExperimentSetting]:
     """Return the settings with the replicate count overridden."""
     return [replace(st, reps=reps) for st in settings]
-
-
-# ---------------------------------------------------------------------------
-# Tests on outcome counts
-# ---------------------------------------------------------------------------
-
-def sign_test_plus_vs_minus(n_plus: int, n_minus: int) -> float:
-    """Exact two-sided sign test of P(rho_hat=+1) = P(rho_hat=-1).
-
-    Conditions on the number of boundary-correlation outcomes n = n_plus +
-    n_minus, under which the larger count is Binomial(n, 1/2) under the
-    null.  Returns the two-sided p-value, capped at 1.
-
-    Args:
-        n_plus: replicates with the correlation estimated at +1.
-        n_minus: replicates with the correlation estimated at -1.
-
-    Returns:
-        Exact two-sided binomial p-value.
-    """
-    n_plus, n_minus = int(n_plus), int(n_minus)
-    if n_plus < 0 or n_minus < 0:
-        raise ValueError("counts must be nonnegative")
-    n = n_plus + n_minus
-    if n == 0:
-        raise ValueError("sign test undefined with no boundary outcomes")
-    k = max(n_plus, n_minus)
-    tail = sum(math.comb(n, j) for j in range(k, n + 1))
-    return min(1.0, 2.0 * tail / 2.0 ** n)
-
-
-def two_proportion_pvalue(k1: int, n1: int, k2: int, n2: int) -> float:
-    """Two-sided pooled z-test comparing two independent proportions."""
-    if min(n1, n2) < 1 or not (0 <= k1 <= n1 and 0 <= k2 <= n2):
-        raise ValueError("invalid counts")
-    p_pool = (k1 + k2) / (n1 + n2)
-    se = math.sqrt(p_pool * (1.0 - p_pool) * (1.0 / n1 + 1.0 / n2))
-    if se == 0.0:
-        return 1.0
-    z = (k1 / n1 - k2 / n2) / se
-    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -39,22 +39,6 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = [
-    "DesignSpec",
-    "FixedEffects",
-    "VarianceParams",
-    "ClusteredDataset",
-    "SuffStats",
-    "VarianceMode",
-    "build_h",
-    "moment_q",
-    "simulate",
-    "simulate_stats",
-    "sufficient_stats",
-    "read_dataset_csv",
-    "write_dataset_csv",
-]
-
 
 def build_h(s):
     """Return the shared regressor grid for an odd cluster size.

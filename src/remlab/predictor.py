@@ -4,8 +4,14 @@ For a balanced design with N clusters of size s, true correlation rho and
 error-to-random-effect variance ratio r = sigma2_e / sigma2_r, the functions
 here score how prone restricted-likelihood maximisation is to landing on the
 boundary rho_hat = -1 (or +1): *smaller values mean higher risk*.  The -1
-score equals the slope of ``profiled_log_rl(ss, r, x)`` in its correlation
-argument x at x = -1, evaluated at the expected sufficient statistics under
+score is the slope at x = -1 of the restricted likelihood with equal
+random-effect variances sigma2_c = sigma2_s = sigma2_r, sigma2_e = r sigma2_r
+and correlation x, profiled over sigma2_r:
+
+    -(N-1)/2 log det F(x) - (Ns-2)/2 log(rss/r + tr(F(x)^-1 t_outer)),
+
+up to terms free of x, where F(x) = [[s + r, sqrt(s q) x], [sqrt(s q) x,
+q + r]].  It is evaluated at the expected sufficient statistics under
 sigma2_r = 1: E rss = N(s-2) r and E t_outer = (N-1)(D Sigma D + r I), with
 D = diag(sqrt s, sqrt q) and Sigma = [[1, rho], [rho, 1]] for the true rho.
 The +1 score is the inward slope at x = +1, which by mirror symmetry is the
@@ -25,16 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from .model_system import philox, write_csv
-
-__all__ = [
-    "predictor_minus_one",
-    "predictor_plus_one",
-    "log10_predictor_minus_one",
-    "log10_predictor_plus_one",
-    "predictor_sweep",
-    "write_sweep_csv",
-    "DEFAULT_SWEEP_GRIDS",
-]
 
 
 def _validate_arrays(n, s, rho, r):

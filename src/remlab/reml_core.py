@@ -42,30 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateDataError
-from .model_system import (
-    ClusteredDataset,
-    SuffStats,
-    VarianceParams,
-    parse_dataset_rows,
-    sufficient_stats,
-)
-
-__all__ = [
-    "Classification",
-    "ClassifyTolerances",
-    "FitResult",
-    "GeneralDataset",
-    "log_restricted_likelihood",
-    "profile_sigma2_r",
-    "profiled_log_rl",
-    "profiled_rl_offset",
-    "classify",
-    "fit_balanced",
-    "fit_general",
-    "eblups",
-    "log_rl_dense_oracle",
-    "read_general_csv",
-]
+from .model_system import SuffStats, VarianceParams, sufficient_stats
 
 
 # ---------------------------------------------------------------------------
@@ -113,61 +90,6 @@ def log_restricted_likelihood(ss, vp):
     )
 
 
-def _equal_variance_pieces(ss, r, rho):
-    """Shared pieces of the equal-variance profile at variance ratio r."""
-    if not r > 0:
-        raise ValueError(f"variance ratio r must be positive, got {r}")
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    design = ss.design
-    s, q = design.cluster_size, design.q
-    det = (s + r) * (q + r) - s * q * rho * rho
-    t = ss.t_outer
-    trace = ((q + r) * t[0, 0] - 2.0 * math.sqrt(s * q) * rho * t[0, 1] + (s + r) * t[1, 1]) / det
-    return det, ss.rss / r + trace
-
-
-def profile_sigma2_r(ss, r, rho):
-    """Closed-form maximiser of the common random-effect variance.
-
-    Under the constraint sigma2_c = sigma2_s = sigma2_r and
-    sigma2_e = r * sigma2_r, the restricted likelihood is maximised over
-    sigma2_r in closed form.  Strictly positive unless the data are
-    degenerate (rss = 0 and t_outer = 0).
-    """
-    _, bracket = _equal_variance_pieces(ss, r, rho)
-    return bracket / (ss.design.n_total - 2)
-
-
-def profiled_log_rl(ss, r, rho):
-    """Profiled log restricted likelihood over (r, rho), equal variances.
-
-    Evaluated at the closed-form sigma2_r maximiser; differs from
-    ``log_restricted_likelihood`` at that point by the additive constant
-    ``profiled_rl_offset(ss.design)``, which does not depend on (r, rho).
-    """
-    design = ss.design
-    n, s = design.n_clusters, design.cluster_size
-    det, bracket = _equal_variance_pieces(ss, r, rho)
-    if bracket <= 0:
-        raise DegenerateDataError("data carry no residual variation; profile undefined")
-    return (
-        -0.5 * n * (s - 2) * math.log(r)
-        - 0.5 * (n - 1) * math.log(det)
-        - 0.5 * (design.n_total - 2) * math.log(bracket)
-    )
-
-
-def profiled_rl_offset(design):
-    """Additive constant linking ``profiled_log_rl`` to the full likelihood.
-
-    log_restricted_likelihood at the profiled point equals
-    profiled_log_rl + profiled_rl_offset(design).
-    """
-    dof = design.n_total - 2
-    return 0.5 * dof * (math.log(dof) - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Classification of maximisers
 # ---------------------------------------------------------------------------
@@ -184,13 +106,20 @@ class Classification(str, enum.Enum):
 class ClassifyTolerances:
     """Thresholds for calling a maximiser a boundary estimate.
 
-    rho: |rho_hat| >= 1 - rho counts as a correlation boundary.
+    rho: |rho_hat| >= 1 - rho counts as a correlation boundary; in (0, 1),
+        since at 1 or above every correlation would lie on the boundary.
     variance_ratio: a random-effect variance below
-        variance_ratio * sigma2_e counts as zero.
+        variance_ratio * sigma2_e counts as zero; positive and finite.
     """
 
     rho: float = 1e-6
     variance_ratio: float = 1e-10
+
+    def __post_init__(self):
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"rho must be > 0 and < 1, got {self.rho!r}")
+        if not 0.0 < self.variance_ratio < math.inf:
+            raise ValueError(f"variance_ratio must be > 0 and finite, got {self.variance_ratio!r}")
 
 
 def classify(vp, tol=ClassifyTolerances()):
@@ -400,7 +329,10 @@ class GeneralDataset:
 
     @classmethod
     def from_rows(cls, rows, fixed_columns=()):
-        """The dataset in a parsed CSV (see ``read_general_csv``)."""
+        """The dataset in rows parsed by ``model_system.parse_dataset_rows``.
+
+        Fixed effects are [1, x] plus the named extra columns, in that order.
+        """
         missing = [c for c in fixed_columns if c not in rows.extra]
         if missing:
             raise DataError(f"{rows.path}: fixed-effect columns not present: {missing}")
@@ -438,9 +370,12 @@ class _GeneralPieces:
     matrix.  Its Cholesky factor gives log det(X'V^-1X) from the first p
     pivots and the GLS residual sum of squares as the last pivot squared
     (a Schur complement).  Only z, W and base depend on y (``with_response``).
+    n_points counts the points at which ``_value`` or ``sigma_gradient`` was
+    evaluated, each point of a stack included.
     """
 
     def __init__(self, data):
+        self.n_points = 0
         x = self.x = data.x
         self.X = data.X
         self.starts = np.concatenate([[0], np.cumsum(data.sizes)[:-1]])
@@ -502,6 +437,7 @@ class _GeneralPieces:
         an augmented GLS matrix that is not positive definite (singular
         X'V^-1X or no GLS residual).
         """
+        self.n_points += 1
         det, w = self._s(l)
         if not det.min() > 0:
             return 1e30
@@ -542,6 +478,7 @@ class _GeneralPieces:
         with ``W``.  The gradient in l is the lower triangle of 2 M L.  A
         stack of points (B, 3) gives a stack of M, shape (B, 2, 2).
         """
+        self.n_points += np.size(l) // 3
         p = self.p
         w = self._s(np.transpose(l))[1]
         batch = w.shape[:-2]
@@ -609,10 +546,9 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
 
     converged is the certificate at the returned point: the first test's
     result, on the M of the search's last step, when neither the facet nor
-    ``_snap`` moved the point, else a new test.  n_evals counts the points
-    at which the objective (``_value``) or the Sigma-space gradient
-    (``sigma_gradient``) was evaluated, each once and each point of a
-    batched call included, and those of a discarded search from start.
+    ``_snap`` moved the point, else a new test.  n_evals is the number of
+    points the pieces counted during the fit (``_GeneralPieces.n_points``),
+    those of a discarded search from start included.
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
@@ -622,30 +558,26 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
     """
     pieces = data if isinstance(data, _GeneralPieces) else _GeneralPieces(data)
     lines = _cluster_lines(pieces)
-    n_evals, converged = 0, False
+    first_point, converged = pieces.n_points, False
     if start is not None:
-        full, full_value, n_evals, converged = _search(pieces, _boxed(start))
+        full, full_value, converged = _search(pieces, _boxed(start))
     if not converged:
-        full, full_value, n_cold, converged = _search(pieces, _general_moment_start(pieces, lines))
-        n_evals += n_cold
+        full, full_value, converged = _search(pieces, _general_moment_start(pieces, lines))
         if not full_value < 1e30:
             raise DegenerateDataError("restricted likelihood is unusable at the starting point")
     theta = tested = _theta(full)
     if not converged:
-        facet, facet_value, n_facet, _ = _newton(pieces, full[:2], pieces._value(full[:2] + (0.0,)))
-        n_evals += n_facet + 1
+        facet, facet_value, _ = _newton(pieces, full[:2], pieces._value(full[:2] + (0.0,)))
         if facet_value <= full_value:
             theta = _theta(facet + (0.0,))
     theta = _snap(theta, tol)
     if theta != tested:
         converged = _certified(pieces.sigma_gradient(_chol(theta)), theta)
-        n_evals += 1
     l = _chol(theta)
     value = pieces._value(l)
     if not value < 1e30:
         raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
     _, beta, rss = pieces._gls(pieces._s(l)[1])
-    n_evals += 1  # the returned point
     s2e = float(rss) / pieces.dof
     lc, ls, rho = theta
     vp = VarianceParams(sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho)
@@ -654,7 +586,7 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
         classification=classify(vp, tol),
         log_rl=float(-value + 0.5 * pieces.logdet_xtx),
         converged=converged,
-        n_evals=n_evals,
+        n_evals=pieces.n_points - first_point,
         boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, tol),
         beta=beta,
     )
@@ -703,16 +635,16 @@ def _boxed(theta):
 def _search(pieces, theta):
     """The full Newton search from theta and the certificate at its end.
 
-    Returns (end point, its value, points evaluated, certified); where the
-    value is unusable at theta, the search is skipped and theta's point is
-    returned uncertified with value 1e30.
+    Returns (end point, its value, certified); where the value is unusable
+    at theta, the search is skipped and theta's point is returned
+    uncertified with value 1e30.
     """
     x = _chol(theta)
     value = pieces._value(x)
     if not value < 1e30:
-        return x, 1e30, 1, False
-    end, value, n, m = _newton(pieces, x, value)
-    return end, value, n + 1, _certified(m, _theta(end))
+        return x, 1e30, False
+    end, value, m = _newton(pieces, x, value)
+    return end, value, _certified(m, _theta(end))
 
 
 def _snap(theta, tol):
@@ -751,17 +683,15 @@ def _newton(pieces, x, f):
     or does not lower the largest gradient component; when the line search
     finds no descent; or after _NEWTON_STEPS steps.  A flat step's end takes
     only the gradient; the Hessian before it predicts the next step, and the
-    difference points run only if that step is above _STEP_FLOOR.  Returns
-    (x, value, n_points, M): n_points counts every point evaluated here, not
-    f's, and M is ``sigma_gradient`` at x.
+    2n difference points run only if that step is above _STEP_FLOOR.
+    Returns (x, value, M), M being ``sigma_gradient`` at x.
     """
     x = np.array(x, dtype=float)
-    (g, m, hess, calls), stale = _derivatives(pieces, x), False
+    (g, m, hess), stale = _derivatives(pieces, x), False
     for _ in range(_NEWTON_STEPS):
         step = _newton_step(x, g, hess)
         if stale and step is not None:  # predicted with the Hessian before a flat step
-            g, m, hess, points = _derivatives(pieces, x)
-            calls += points
+            hess = _derivatives(pieces, x, at_v=(g, m))[2]
             step = _newton_step(x, g, hess)
         if step is None:
             break
@@ -769,7 +699,6 @@ def _newton(pieces, x, f):
         while t >= 1e-10:
             trial = _capped(x + t * step)
             trial_value = pieces._value(tuple(trial) + (0.0,) * (3 - len(x)))
-            calls += 1
             if trial_value <= f + 1e-4 * t * slope or (
                     t == 1.0 and trial_value <= f + _ROUND * abs(f)):
                 break
@@ -779,31 +708,34 @@ def _newton(pieces, x, f):
         flat = trial_value > f - _ROUND * abs(f)
         if flat and np.abs(trial - x).max() <= _STEP_FLOOR:
             break
-        trial_g, trial_m, trial_hess, points = _derivatives(pieces, trial, hess if flat else None)
-        calls += points
+        trial_g, trial_m, trial_hess = _derivatives(pieces, trial, hess if flat else None)
         if flat and np.abs(trial_g).max() >= np.abs(g).max():
             break
         x, f, g, m, hess, stale = trial, trial_value, trial_g, trial_m, trial_hess, flat
-    return tuple(x.tolist()), f, calls, m
+    return tuple(x.tolist()), f, m
 
 
-def _derivatives(pieces, v, hess=None):
-    """(gradient in the leading n = len(v) Cholesky entries, M, Hessian, points) at v.
+def _derivatives(pieces, v, hess=None, at_v=None):
+    """(gradient in the leading n = len(v) Cholesky entries, M, Hessian) at v.
 
     One batched ``sigma_gradient`` call takes v and the 2n points v +/- h e_j
-    of the Hessian's central difference, or v alone if hess is given.
+    of the Hessian's central difference: v alone if hess is given, the 2n
+    points alone if at_v, the (gradient, M) at v, is.
     """
     n = len(v)
     h = _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
-    l = np.zeros((1 if hess is not None else 2 * n + 1, 3))
-    l[:, :n] = v if hess is not None else np.vstack([v, v + np.diag(h), v - np.diag(h)])
+    points = np.vstack(([v] if at_v is None else [])
+                       + ([v + np.diag(h), v - np.diag(h)] if hess is None else []))
+    l = np.zeros((len(points), 3))
+    l[:, :n] = points
     m = pieces.sigma_gradient(l)
     (m00, m01), (_, m11) = m.transpose(1, 2, 0)
     l11, l21, l22 = l.T
     g = 2.0 * np.stack([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n]
     if hess is None:
-        hess = (g[:, 1 : n + 1] - g[:, n + 1 :]) / (2.0 * h)
-    return g[:, 0], m[0], hess, len(l)
+        hess = (g[:, -2 * n : -n] - g[:, -n:]) / (2.0 * h)
+    g_v, m_v = (g[:, 0], m[0]) if at_v is None else at_v
+    return g_v, m_v, hess
 
 
 def _newton_step(x, g, hess):
@@ -883,53 +815,3 @@ def eblups(fit, data):
     pieces = data if isinstance(data, _GeneralPieces) else _GeneralPieces(data)
     return pieces.eblups((l11, l21, l22))
 
-
-# ---------------------------------------------------------------------------
-# Dense oracle
-# ---------------------------------------------------------------------------
-
-
-def log_rl_dense_oracle(data, vp):
-    """Textbook dense-matrix restricted likelihood, for validation only.
-
-    Builds V = Z G Z' + sigma2_e I explicitly and returns
-    -0.5 * (log det V + log det(X' V^-1 X) + y' P y).  This constant
-    convention differs from ``log_restricted_likelihood`` by
-    0.5 * log det(X'X), which does not depend on vp, so tests compare
-    differences across parameter values rather than absolute values.
-    """
-    if vp.sigma2_e <= 0:
-        raise ValueError("dense restricted likelihood requires sigma2_e > 0")
-    if isinstance(data, ClusteredDataset):
-        data = GeneralDataset.from_balanced(data)
-    H = np.column_stack([np.ones_like(data.x), data.x])
-    cluster = np.repeat(np.arange(data.n_clusters), data.sizes)
-    same = cluster[:, None] == cluster[None, :]
-    V = np.where(same, H @ vp.sigma_matrix() @ H.T, 0.0) + vp.sigma2_e * np.eye(data.n_total)
-    X, y = data.X, data.y
-
-    sign_v, logdet_v = np.linalg.slogdet(V)
-    vinv_x = np.linalg.solve(V, X)
-    vinv_y = np.linalg.solve(V, y)
-    xvx = X.T @ vinv_x
-    sign_x, logdet_x = np.linalg.slogdet(xvx)
-    if sign_v <= 0 or sign_x <= 0:
-        raise ValueError("covariance is numerically singular")
-    beta = np.linalg.solve(xvx, X.T @ vinv_y)
-    resid = y - X @ beta
-    ypy = float(resid @ np.linalg.solve(V, resid))
-    return -0.5 * (logdet_v + logdet_x + ypy)
-
-
-# ---------------------------------------------------------------------------
-# General CSV ingestion
-# ---------------------------------------------------------------------------
-
-
-def read_general_csv(path, fixed_columns=()):
-    """Read an unbalanced dataset from CSV rows (cluster, j, x, y, ...).
-
-    Fixed effects are [1, x] plus any named extra columns, in that order.
-    Cluster sizes may differ and x is unconstrained.
-    """
-    return GeneralDataset.from_rows(parse_dataset_rows(path), fixed_columns)

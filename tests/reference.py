@@ -1,0 +1,69 @@
+"""Reference implementations that the tests compare the package against.
+
+Nothing in ``remlab`` uses these: the dense-matrix restricted likelihood
+checks the closed-form and per-cluster engines, and the exact sign test
+checks the symmetry of the Monte Carlo boundary outcomes.
+"""
+
+import math
+
+import numpy as np
+
+from remlab import ClusteredDataset, GeneralDataset
+
+
+def log_rl_dense_oracle(data, vp):
+    """Textbook dense-matrix restricted likelihood, for validation only.
+
+    Builds V = Z G Z' + sigma2_e I explicitly and returns
+    -0.5 * (log det V + log det(X' V^-1 X) + y' P y).  This constant
+    convention differs from ``log_restricted_likelihood`` by
+    0.5 * log det(X'X), which does not depend on vp, so tests compare
+    differences across parameter values rather than absolute values.
+    """
+    if vp.sigma2_e <= 0:
+        raise ValueError("dense restricted likelihood requires sigma2_e > 0")
+    if isinstance(data, ClusteredDataset):
+        data = GeneralDataset.from_balanced(data)
+    H = np.column_stack([np.ones_like(data.x), data.x])
+    cluster = np.repeat(np.arange(data.n_clusters), data.sizes)
+    same = cluster[:, None] == cluster[None, :]
+    V = np.where(same, H @ vp.sigma_matrix() @ H.T, 0.0) + vp.sigma2_e * np.eye(data.n_total)
+    X, y = data.X, data.y
+
+    sign_v, logdet_v = np.linalg.slogdet(V)
+    vinv_x = np.linalg.solve(V, X)
+    vinv_y = np.linalg.solve(V, y)
+    xvx = X.T @ vinv_x
+    sign_x, logdet_x = np.linalg.slogdet(xvx)
+    if sign_v <= 0 or sign_x <= 0:
+        raise ValueError("covariance is numerically singular")
+    beta = np.linalg.solve(xvx, X.T @ vinv_y)
+    resid = y - X @ beta
+    ypy = float(resid @ np.linalg.solve(V, resid))
+    return -0.5 * (logdet_v + logdet_x + ypy)
+
+
+def sign_test_plus_vs_minus(n_plus: int, n_minus: int) -> float:
+    """Exact two-sided sign test of P(rho_hat=+1) = P(rho_hat=-1).
+
+    Conditions on the number of boundary-correlation outcomes n = n_plus +
+    n_minus, under which the larger count is Binomial(n, 1/2) under the
+    null.  Returns the two-sided p-value, capped at 1.
+
+    Args:
+        n_plus: replicates with the correlation estimated at +1.
+        n_minus: replicates with the correlation estimated at -1.
+
+    Returns:
+        Exact two-sided binomial p-value.
+    """
+    n_plus, n_minus = int(n_plus), int(n_minus)
+    if n_plus < 0 or n_minus < 0:
+        raise ValueError("counts must be nonnegative")
+    n = n_plus + n_minus
+    if n == 0:
+        raise ValueError("sign test undefined with no boundary outcomes")
+    k = max(n_plus, n_minus)
+    tail = sum(math.comb(n, j) for j in range(k, n + 1))
+    return min(1.0, 2.0 * tail / 2.0 ** n)

@@ -27,12 +27,12 @@ from remlab import (Classification, DesignSpec, FixedEffects, GeneralDataset,
                     VarianceParams, anova_balanced, experiment_catalog,
                     factorial_grid, fit_balanced, fit_general,
                     interaction_plot_data, log_restricted_likelihood,
-                    log_rl_dense_oracle, ls_means, make_surrogate, phi_sweep,
+                    ls_means, make_surrogate, phi_sweep,
                     predictor_minus_one, predictor_plus_one, predictor_sweep,
-                    sign_test_plus_vs_minus, simulate, sufficient_stats,
-                    with_reps)
+                    simulate, sufficient_stats, with_reps)
 from remlab.experiments import run_settings, write_replicate_csv, \
     write_summary_csv
+from reference import log_rl_dense_oracle, sign_test_plus_vs_minus
 
 MASTER_SEED = 20260825
 PARALLELISM = min(8, os.cpu_count() or 1)
@@ -129,9 +129,11 @@ def _display_unit(shown):
 
 
 def _exact_inward_slope(n, s, rho, r, boundary):
-    """Inward slope of ``profiled_log_rl`` at expected statistics, exactly.
+    """Inward slope of the equal-variance profile at expected statistics, exactly.
 
-    With x the profile's correlation argument, evaluates
+    The profile is the restricted likelihood with sigma2_c = sigma2_s =
+    sigma2_r, sigma2_e = r sigma2_r and correlation x, maximised over
+    sigma2_r (see ``remlab.predictor``).  This evaluates
     d/dx [-(N-1)/2 log det - (Ns-2)/2 log bracket] (the other term of the
     profile does not involve x) at x = ``boundary``, with the sufficient
     statistics at their expectations under sigma2_r = 1:

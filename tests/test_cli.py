@@ -251,6 +251,16 @@ class TestSimulateAndFit:
         assert code == 1
         assert f"usage error: {flag} must be > 0" in err
 
+    @pytest.mark.parametrize("flag, value, rule", [
+        ("--rho-tol", "1", "must be > 0 and < 1, got 1.0"),
+        ("--rho-tol", "inf", "must be > 0 and < 1, got inf"),
+        ("--var-ratio-tol", "inf", "must be > 0 and finite, got inf")])
+    def test_out_of_range_tolerance_is_usage_error(self, capsys, tmp_path, flag, value, rule):
+        code, stdout, err = run_cli(capsys, "fit", "--data", str(tmp_path / "d.csv"),
+                                    "--out", str(tmp_path / "o.json"), flag, value)
+        assert code == 1 and stdout == ""
+        assert f"usage error: {flag} {rule}" in err
+
     @staticmethod
     def _data_with_z(capsys, tmp_path):
         """A balanced dataset CSV with one extra column, z."""

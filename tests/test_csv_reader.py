@@ -2,10 +2,10 @@
 
 ``parse_dataset_rows`` parses a plainly formatted file in one numpy pass and
 hands everything else to a csv row loop.  Every case below pins what
-``read_dataset_csv`` and ``read_general_csv`` returned when the row loop was
-the only reader (a dataset, or the exact error with its line number), and
-checks that whenever the numpy pass accepts a file it builds exactly what
-the row loop builds.
+``read_dataset_csv`` and ``GeneralDataset.from_rows`` returned when the row
+loop was the only reader (a dataset, or the exact error with its line
+number), and checks that whenever the numpy pass accepts a file it builds
+exactly what the row loop builds.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from remlab.errors import DataError
 from remlab.model_system import (_parse_plain, _parse_row_loop, parse_dataset_rows,
                                  read_dataset_csv)
-from remlab.reml_core import read_general_csv
+from remlab.reml_core import GeneralDataset
 
 HEADER = "cluster,j,x,y"
 ROWS = ("1,1,-1.0,0.5", "1,2,0.0,1.5", "1,3,1.0,2.5",
@@ -183,6 +183,11 @@ def write_case(tmp_path, name):
     path = tmp_path / f"{name}.csv"
     path.write_bytes(CASES[name].encode("utf-8"))
     return path
+
+
+def read_general_csv(path):
+    """The unbalanced dataset in a CSV file, as ``remlab fit`` reads it."""
+    return GeneralDataset.from_rows(parse_dataset_rows(path))
 
 
 def outcome(read, path):

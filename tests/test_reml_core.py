@@ -9,11 +9,12 @@ import pytest
 
 from remlab import (Classification, ClassifyTolerances, ClusteredDataset,
                     DegenerateDataError, DesignSpec,
-                    FixedEffects, GeneralDataset, SuffStats, VarianceParams,
+                    FixedEffects, GeneralDataset, VarianceParams,
                     classify, derive_seed, experiment_catalog, fit_balanced,
-                    fit_general, log_restricted_likelihood, log_rl_dense_oracle,
-                    profile_sigma2_r, profiled_log_rl, profiled_rl_offset,
-                    simulate, sufficient_stats)
+                    fit_general, log_restricted_likelihood, simulate,
+                    sufficient_stats)
+
+from reference import log_rl_dense_oracle
 
 RNG = np.random.default_rng(20260825)
 MASTER = 20260825
@@ -74,63 +75,6 @@ class TestLogRestrictedLikelihood:
 
 
 # ---------------------------------------------------------------------------
-# Equal-variance profile
-# ---------------------------------------------------------------------------
-
-
-class TestProfile:
-    def test_profile_maximises_over_sigma2_r(self, medium_stats):
-        r, rho = 4.0, -0.5
-        s2r = profile_sigma2_r(medium_stats, r, rho)
-        assert s2r > 0
-
-        def value(v):
-            return log_restricted_likelihood(
-                medium_stats, VarianceParams(r * v, v, v, rho))
-
-        best = value(s2r)
-        for factor in (0.9, 0.99, 1.01, 1.1):
-            assert value(s2r * factor) < best
-        # stationarity of the closed form
-        step = s2r * 1e-6
-        grad = (value(s2r + step) - value(s2r - step)) / (2 * step)
-        assert abs(grad) < 1e-6
-
-    def test_profiled_identity_with_offset(self, medium_stats):
-        design = medium_stats.design
-        off = profiled_rl_offset(design)
-        for r, rho in [(0.5, 0.0), (4.0, -0.5), (50.0, 0.9), (1.0, -1.0),
-                       (10.0, 1.0)]:
-            s2r = profile_sigma2_r(medium_stats, r, rho)
-            full = log_restricted_likelihood(
-                medium_stats, VarianceParams(r * s2r, s2r, s2r, rho))
-            prof = profiled_log_rl(medium_stats, r, rho)
-            np.testing.assert_allclose(prof + off, full, rtol=1e-12)
-
-    def test_offset_closed_form(self):
-        for n, s in [(2, 3), (500, 21)]:
-            dof = n * s - 2
-            assert profiled_rl_offset(DesignSpec(n, s)) == pytest.approx(
-                0.5 * dof * (math.log(dof) - 1.0), rel=1e-15)
-
-    def test_boundary_rho_is_finite(self, medium_stats):
-        for rho in (-1.0, 1.0):
-            assert math.isfinite(profiled_log_rl(medium_stats, 2.0, rho))
-
-    def test_invalid_arguments(self, medium_stats):
-        with pytest.raises(ValueError):
-            profiled_log_rl(medium_stats, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            profiled_log_rl(medium_stats, 1.0, 1.5)
-
-    def test_degenerate_data_raises(self):
-        ss = SuffStats(design=DesignSpec(5, 3), rss=0.0,
-                       t_outer=np.zeros((2, 2)))
-        with pytest.raises(DegenerateDataError):
-            profiled_log_rl(ss, 1.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
@@ -163,6 +107,16 @@ class TestClassify:
         vp = VarianceParams(1.0, 1e-4, 1.0, 0.0)
         assert classify(vp, ClassifyTolerances(variance_ratio=1e-3)) \
             is Classification.ZERO_VARIANCE
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho", 1.0), ("rho", 1.5), ("rho", math.inf), ("rho", 0.0), ("rho", -0.1),
+        ("rho", math.nan), ("variance_ratio", math.inf), ("variance_ratio", 0.0),
+        ("variance_ratio", -1.0), ("variance_ratio", math.nan)])
+    def test_out_of_range_tolerance_raises(self, field, value):
+        # a rho tolerance of 1 or more calls every correlation a boundary, and
+        # _snap would move an interior fit onto rho = +/-1
+        with pytest.raises(ValueError, match=f"^{field} must be > 0"):
+            ClassifyTolerances(**{field: value})
 
 
 # ---------------------------------------------------------------------------
