@@ -121,17 +121,17 @@ def _out_path(path: str) -> str:
 
 
 def _tolerances(args) -> ClassifyTolerances:
-    tol = {}
-    for flag, name, v in (("--rho-tol", "rho", args.rho_tol),
-                          ("--var-ratio-tol", "variance_ratio",
-                           args.var_ratio_tol)):
+    tol, tolerances = {}, ClassifyTolerances()
+    for flag, name, rule, v in (("--rho-tol", "rho", "> 0 and < 1", args.rho_tol),
+                                ("--var-ratio-tol", "variance_ratio", "> 0 and finite",
+                                 args.var_ratio_tol)):
         if v is not None:
-            try:
-                ClassifyTolerances(**{name: v})
-            except ValueError as exc:  # "<name> must be ..., got <v>"
-                raise UsageError(flag + str(exc).removeprefix(name)) from None
             tol[name] = v
-    return ClassifyTolerances(**tol)
+            try:
+                tolerances = ClassifyTolerances(**tol)
+            except ValueError:
+                raise UsageError(f"{flag} must be {rule}, got {v!r}") from None
+    return tolerances
 
 
 # ---------------------------------------------------------------------------

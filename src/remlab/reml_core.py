@@ -691,7 +691,7 @@ def _newton(pieces, x, f):
     for _ in range(_NEWTON_STEPS):
         step = _newton_step(x, g, hess)
         if stale and step is not None:  # predicted with the Hessian before a flat step
-            hess = _derivatives(pieces, x, at_v=(g, m))[2]
+            hess = _hessian(pieces, x)
             step = _newton_step(x, g, hess)
         if step is None:
             break
@@ -715,27 +715,36 @@ def _newton(pieces, x, f):
     return tuple(x.tolist()), f, m
 
 
-def _derivatives(pieces, v, hess=None, at_v=None):
+def _derivatives(pieces, v, hess=None):
     """(gradient in the leading n = len(v) Cholesky entries, M, Hessian) at v.
 
-    One batched ``sigma_gradient`` call takes v and the 2n points v +/- h e_j
-    of the Hessian's central difference: v alone if hess is given, the 2n
-    points alone if at_v, the (gradient, M) at v, is.
+    One batched ``_gradients`` call takes v and the 2n points v +/- h e_j
+    of the Hessian's central difference, or v alone if hess is given.
     """
-    n = len(v)
-    h = _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
-    points = np.vstack(([v] if at_v is None else [])
-                       + ([v + np.diag(h), v - np.diag(h)] if hess is None else []))
+    n, h = len(v), _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
+    g, m = _gradients(pieces, [v] if hess is not None else [v, *(v + np.diag(h)), *(v - np.diag(h))])
+    if hess is None:
+        hess = (g[:, 1 : n + 1] - g[:, n + 1 :]) / (2.0 * h)
+    return g[:, 0], m[0], hess
+
+
+def _hessian(pieces, v):
+    """The Hessian at v from its 2n difference points alone, as ``_derivatives`` takes it."""
+    n, h = len(v), _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
+    g = _gradients(pieces, [*(v + np.diag(h)), *(v - np.diag(h))])[0]
+    return (g[:, :n] - g[:, n:]) / (2.0 * h)
+
+
+def _gradients(pieces, points):
+    """(gradients in the leading n Cholesky entries, one column per point, M at
+    each point) for points of length n, from one ``sigma_gradient`` call."""
+    n = len(points[0])
     l = np.zeros((len(points), 3))
     l[:, :n] = points
     m = pieces.sigma_gradient(l)
     (m00, m01), (_, m11) = m.transpose(1, 2, 0)
     l11, l21, l22 = l.T
-    g = 2.0 * np.stack([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n]
-    if hess is None:
-        hess = (g[:, -2 * n : -n] - g[:, -n:]) / (2.0 * h)
-    g_v, m_v = (g[:, 0], m[0]) if at_v is None else at_v
-    return g_v, m_v, hess
+    return 2.0 * np.stack([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n], m
 
 
 def _newton_step(x, g, hess):
