@@ -34,7 +34,7 @@ _EXPORTS = {
     "experiments": (
         "AnovaRow", "ExperimentSetting", "RepRecord", "SettingSummary", "anova_balanced",
         "derive_seed", "experiment_catalog", "factorial_grid", "interaction_plot_data",
-        "ls_means", "run_replicate", "run_settings", "summarize", "with_reps",
+        "ls_means", "run_replicate", "run_settings", "with_reps",
     ),
     "invivo": (
         "HmoDataset", "InvivoRow", "default_phi_grid", "ingest_hmo",

@@ -44,23 +44,21 @@ class _Parser(argparse.ArgumentParser):
 # Shared flags and the config file
 # ---------------------------------------------------------------------------
 
-def _apply_config_file(args) -> None:
-    """Fill unset args from a KEY=VALUE config file; flags win.
+def _config_flags(args) -> list[str]:
+    """The ``--key=value`` tokens of a KEY=VALUE config file.
 
     A key is the spelling of a flag that takes a value, without its leading
-    dashes; its value is converted as the flag converts it.  Such flags
-    default to None, so that an unset flag is told from one given at its
-    default value; each command resolves None to the default.
+    dashes.  ``main`` parses the tokens ahead of the command line's own
+    arguments, so argparse checks each value as it checks the flag, and a
+    flag on the command line wins.
     """
-    path = getattr(args, "config", None)
-    if path is None:
-        return
     try:
-        with open(path) as fh:
+        with open(args.config) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from exc
     flags = args.config_parser._option_string_actions
+    tokens = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -69,24 +67,23 @@ def _apply_config_file(args) -> None:
             raise DataError(f"config line {lineno}: expected KEY=VALUE")
         key, _, val = line.partition("=")
         key = key.strip()
-        action = flags.get("--" + key.replace("_", "-"))
+        flag = "--" + key.replace("_", "-")
+        action = flags.get(flag)
         if action is None:
             raise DataError(f"config line {lineno}: unknown key {key!r}")
         if action.nargs == 0:
             raise DataError(f"config line {lineno}: {key!r} is an on/off "
                             f"switch; pass it as a flag")
-        if getattr(args, action.dest) is None:
-            try:
-                setattr(args, action.dest, (action.type or str)(val.strip()))
-            except ValueError as exc:
-                raise DataError(f"config line {lineno}: {exc}") from exc
+        tokens.append(f"{flag}={val.strip()}")
+    return tokens
 
 
 _SHARED_FLAGS = {
-    "--seed": dict(dest="master_seed", type=int,
-                   help="master seed (default 20260825)"),
-    "--parallelism": dict(type=int, help="worker processes (default 1)"),
-    "--out-dir": dict(help="output directory (default .)"),
+    "--seed": dict(dest="master_seed", type=int, default=20260825,
+                   help="master seed (default %(default)s)"),
+    "--parallelism": dict(type=int, default=1,
+                          help="worker processes (default %(default)s)"),
+    "--out-dir": dict(default=".", help="output directory (default %(default)s)"),
     "--rho-tol": dict(type=float,
                       help="boundary classification tolerance on rho"),
     "--var-ratio-tol": dict(type=float,
@@ -97,7 +94,7 @@ _SHARED_FLAGS = {
 def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
     """The named flags of _SHARED_FLAGS, then --config."""
     for flag in flags:
-        p.add_argument(flag, default=None, **_SHARED_FLAGS[flag])
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
     p.add_argument("--config", default=None,
                    help="KEY=VALUE config file; flags win over file values")
     p.set_defaults(config_parser=p)
@@ -105,12 +102,11 @@ def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
 
 def _out_dir(args) -> str:
     """The output directory, created if missing."""
-    out_dir = "." if args.out_dir is None else args.out_dir
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot create --out-dir {out_dir!r}: {exc.strerror}") from None
-    return out_dir
+        raise UsageError(f"cannot create --out-dir {args.out_dir!r}: {exc.strerror}") from None
+    return args.out_dir
 
 
 def _out_path(path: str) -> str:
@@ -225,8 +221,7 @@ def _cmd_experiment(args) -> int:
     from . import experiments as _ex
     from .predictor import predictor_sweep, write_sweep_csv
 
-    seed = 20260825 if args.master_seed is None else args.master_seed
-    parallelism = 1 if args.parallelism is None else args.parallelism
+    seed, parallelism = args.master_seed, args.parallelism
     if parallelism < 1:
         raise UsageError("--parallelism must be >= 1")
     reps = args.reps
@@ -243,17 +238,14 @@ def _cmd_experiment(args) -> int:
         print(f"wrote {len(table['draw'])} draws to {out}")
         return 0
 
+    mode = VarianceMode(args.variance_mode)
     if name == "factorial":
         settings = _ex.factorial_grid(scale=args.scale,
                                       reps=reps if reps else 40,
-                                      variance_mode=_variance_mode(args))
+                                      variance_mode=mode)
     else:
-        settings = [st for st in _ex.experiment_catalog()
-                    if st.experiment == name]
-        if args.variance_mode is not None:
-            mode = _variance_mode(args)
-            settings = [dataclasses.replace(st, variance_mode=mode)
-                        for st in settings]
+        settings = [dataclasses.replace(st, variance_mode=mode)
+                    for st in _ex.experiment_catalog() if st.experiment == name]
         if reps is not None:
             settings = _ex.with_reps(settings, reps)
 
@@ -282,16 +274,6 @@ def _cmd_experiment(args) -> int:
                   f"{sm.pct_nan:6.2f} {sm.pct_bad:6.2f}")
         print(f"wrote {sum_path} and {rep_path}")
     return 0
-
-
-def _variance_mode(args) -> VarianceMode:
-    raw = args.variance_mode or "fix_random_effects"
-    try:
-        return VarianceMode(raw)
-    except ValueError:
-        raise UsageError(
-            f"--variance-mode must be one of "
-            f"{[m.value for m in VarianceMode]}") from None
 
 
 def _cmd_invivo(args) -> int:
@@ -419,8 +401,9 @@ def build_parser() -> _Parser:
                         "predictor-sweep)")
     p.add_argument("--scale", type=float, default=None,
                    help="factorial grid subsampling factor")
-    p.add_argument("--variance-mode", default=None,
-                   choices=[m.value for m in VarianceMode])
+    p.add_argument("--variance-mode", default=VarianceMode.FIX_RANDOM_EFFECTS.value,
+                   choices=[m.value for m in VarianceMode],
+                   help="how r is realised (default %(default)s)")
     _add_shared(p, "--seed", "--parallelism", "--out-dir")
     p.set_defaults(func=_cmd_experiment)
 
@@ -454,7 +437,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args)
+        if getattr(args, "config", None) is not None:
+            # the top-level parser takes no options: argv[0] is the command
+            argv = sys.argv[1:] if argv is None else list(argv)
+            try:
+                args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
+            except UsageError as exc:
+                raise DataError(f"config file: {exc}") from None
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -229,20 +229,10 @@ def _run_chunk(args) -> list[RepRecord]:
             for rep in range(rep_lo, rep_hi)]
 
 
-def summarize(setting: ExperimentSetting,
-              records: list[RepRecord]) -> SettingSummary:
-    """Reduce replicate records for one setting to outcome percentages."""
-    return _summaries([setting], [records])[0]
-
-
 def _summaries(settings: list[ExperimentSetting],
                groups: list[list[RepRecord]]) -> list[SettingSummary]:
-    """Summarize each setting's records; the predictor runs once on arrays."""
-    for st, records in zip(settings, groups):
-        if len(records) != st.reps:
-            raise ValueError(
-                f"expected {st.reps} records for {st.id}, "
-                f"got {len(records)}")
+    """Summarize each setting's records, ``st.reps`` of them; the predictor
+    runs once on arrays."""
     inputs = ([st.n_clusters for st in settings],
               [st.cluster_size for st in settings],
               [st.rho for st in settings], [st.r for st in settings])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -276,37 +276,6 @@ def default_phi_grid(start: float = 1.0, end: float = 3.0,
     return [p for p in phis if p <= end + 1e-12]
 
 
-def _inflation(data: HmoDataset, phis, tol: ClassifyTolerances):
-    """The baseline fit, the general dataset, its pieces (which the baseline
-    fit and its EBLUPs share) and the (phi, response) pairs of
-    `inflated_datasets`.  Every phi is checked before the baseline fit runs.
-    """
-    phis = [float(phi) for phi in phis]
-    if not all(math.isfinite(phi) and phi >= 1.0 for phi in phis):
-        raise ValueError("phi must be finite and >= 1")
-    gen = data.to_general()
-    pieces = _GeneralPieces(gen)
-    base = fit_general(pieces, tol)
-    u = np.repeat(eblups(base, pieces), gen.sizes, axis=0)
-    fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
-    residual = gen.y - fitted
-    return base, gen, pieces, ((phi, fitted + phi * residual) for phi in phis)
-
-
-def inflated_datasets(data: HmoDataset, phis,
-                      tol: ClassifyTolerances = ClassifyTolerances()):
-    """The (phi, dataset) pairs that `phi_sweep` refits, one per phi.
-
-    The baseline fit's fitted values include the cluster-level random
-    effects (shrunken predictions), so the inflated response is
-    fit + phi * residual; phi = 1 reproduces the original data exactly.
-    Raises ValueError before the baseline fit if any phi is not finite
-    or is below 1; the datasets are built as they are iterated.
-    """
-    _, gen, _, responses = _inflation(data, phis, tol)
-    return ((phi, replace(gen, y=y)) for phi, y in responses)
-
-
 def _fit_theta(fit: FitResult) -> tuple[float, float, float]:
     """(lambda_c, lambda_s, rho) of a fit: the start that `fit_general` takes."""
     p = fit.params
@@ -317,25 +286,39 @@ def phi_sweep(data: HmoDataset, phis=None,
               tol: ClassifyTolerances = ClassifyTolerances()) -> list[InvivoRow]:
     """Refit the model with residuals inflated by each phi in the grid.
 
-    See `inflated_datasets` for the refitted data.  The sweep is a
-    continuation in phi: the baseline fit counts as the fit at phi = 1,
-    and each refit starts (`fit_general`'s start) at the secant prediction
-    through the last two fits, theta_1 + (phi - phi_1) / (phi_1 - phi_0)
-    (theta_1 - theta_0), or at the last fit's theta where phi_0 = phi_1.
-    A start only decides where the search begins: a search from it that
-    ends uncertified is replaced by the fit from the moment start.
+    The baseline fit's fitted values include the cluster-level random
+    effects (shrunken predictions), so the refitted response is
+    fit + phi * residual; phi = 1 reproduces the original data exactly.
+
+    The sweep is a continuation in phi: the baseline fit counts as the fit
+    at phi = 1, and each refit starts (`fit_general`'s start) at the secant
+    prediction through the last two fits, theta_1 + (phi - phi_1) /
+    (phi_1 - phi_0) (theta_1 - theta_0), or at the last fit's theta where
+    phi_0 = phi_1.  A start only decides where the search begins: a search
+    from it that ends uncertified is replaced by the fit from the moment
+    start.
 
     Returns:
         One InvivoRow per phi, in grid order.
+
+    Raises:
+        ValueError: before the baseline fit, if any phi is not finite or is
+            below 1.
     """
-    if phis is None:
-        phis = default_phi_grid()
-    base, _, pieces, responses = _inflation(data, phis, tol)
+    phis = default_phi_grid() if phis is None else [float(phi) for phi in phis]
+    if not all(math.isfinite(phi) and phi >= 1.0 for phi in phis):
+        raise ValueError("phi must be finite and >= 1")
+    gen = data.to_general()
+    pieces = _GeneralPieces(gen)  # the baseline fit, its EBLUPs and every refit share it
+    base = fit_general(pieces, tol)
+    u = np.repeat(eblups(base, pieces), gen.sizes, axis=0)
+    fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
+    residual = gen.y - fitted
     phi0, theta0 = phi1, theta1 = 1.0, _fit_theta(base)
     rows: list[InvivoRow] = []
-    for phi, y in responses:
+    for phi in phis:
         ratio = (phi - phi1) / (phi1 - phi0) if phi1 != phi0 else 0.0
-        fit = fit_general(pieces.with_response(y), tol, start=tuple(
+        fit = fit_general(pieces.with_response(fitted + phi * residual), tol, start=tuple(
             b + ratio * (b - a) for a, b in zip(theta0, theta1)))
         (phi0, theta0), (phi1, theta1) = (phi1, theta1), (phi, _fit_theta(fit))
         p = fit.params

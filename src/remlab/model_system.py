@@ -141,15 +141,9 @@ class VarianceParams:
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [-1, 1], got {self.rho}")
 
-    def sigma_matrix(self):
-        """2x2 covariance of the random intercept/slope pair."""
-        sc = math.sqrt(self.sigma2_c)
-        ss = math.sqrt(self.sigma2_s)
-        off = self.rho * sc * ss
-        return np.array([[self.sigma2_c, off], [off, self.sigma2_s]])
-
     def sigma_cholesky(self):
-        """Lower-triangular square root of ``sigma_matrix``.
+        """Lower-triangular square root of the 2x2 covariance of the random
+        intercept/slope pair.
 
         Uses [[sc, 0], [rho*ss, ss*sqrt(1-rho^2)]] so the second diagonal
         entry is exactly zero at rho = +/-1 and simulation draws stay exactly

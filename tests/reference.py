@@ -1,15 +1,25 @@
 """Reference implementations that the tests compare the package against.
 
 Nothing in ``remlab`` uses these: the dense-matrix restricted likelihood
-checks the closed-form and per-cluster engines, and the exact sign test
-checks the symmetry of the Monte Carlo boundary outcomes.
+checks the closed-form and per-cluster engines, the exact sign test checks
+the symmetry of the Monte Carlo boundary outcomes, and the inflated
+datasets are the data that ``phi_sweep`` refits, built on their own.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from remlab import ClusteredDataset, GeneralDataset
+from remlab import ClusteredDataset, GeneralDataset, eblups, fit_general
+
+
+def sigma_matrix(vp):
+    """2x2 covariance of the random intercept/slope pair of VarianceParams vp."""
+    sc = math.sqrt(vp.sigma2_c)
+    ss = math.sqrt(vp.sigma2_s)
+    off = vp.rho * sc * ss
+    return np.array([[vp.sigma2_c, off], [off, vp.sigma2_s]])
 
 
 def log_rl_dense_oracle(data, vp):
@@ -28,7 +38,7 @@ def log_rl_dense_oracle(data, vp):
     H = np.column_stack([np.ones_like(data.x), data.x])
     cluster = np.repeat(np.arange(data.n_clusters), data.sizes)
     same = cluster[:, None] == cluster[None, :]
-    V = np.where(same, H @ vp.sigma_matrix() @ H.T, 0.0) + vp.sigma2_e * np.eye(data.n_total)
+    V = np.where(same, H @ sigma_matrix(vp) @ H.T, 0.0) + vp.sigma2_e * np.eye(data.n_total)
     X, y = data.X, data.y
 
     sign_v, logdet_v = np.linalg.slogdet(V)
@@ -67,3 +77,19 @@ def sign_test_plus_vs_minus(n_plus: int, n_minus: int) -> float:
     k = max(n_plus, n_minus)
     tail = sum(math.comb(n, j) for j in range(k, n + 1))
     return min(1.0, 2.0 * tail / 2.0 ** n)
+
+
+def inflated_datasets(data, phis):
+    """The (phi, dataset) pairs that ``phi_sweep`` refits, one per phi.
+
+    The baseline fit's fitted values include the cluster-level random
+    effects (shrunken predictions), so the inflated response is
+    fit + phi * residual; phi = 1 reproduces the original data exactly.
+    The datasets are built as they are iterated.
+    """
+    gen = data.to_general()
+    base = fit_general(gen)
+    u = np.repeat(eblups(base, gen), gen.sizes, axis=0)
+    fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
+    residual = gen.y - fitted
+    return ((phi, replace(gen, y=fitted + phi * residual)) for phi in phis)

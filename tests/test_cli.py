@@ -15,6 +15,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_PREDICTOR = ["predictor", "--N", "10", "--s", "9", "--rho", "0", "--r", "1"]
+_SIMULATE = ["simulate", "--N", "10", "--s", "5", "--sigma2-e", "1", "--sigma2-c", "1",
+             "--sigma2-s", "1", "--rho", "0.3", "--seed", "3", "--out", "{tmp}/d.csv"]
+_EXPERIMENT = ["experiment", "A", "--reps", "1", "--out-dir", "{tmp}"]
+_ANOVA = ["anova", "--table", "{tmp}/t.csv"]
+_CONFIG = ["experiment", "A", "--out-dir", "{tmp}", "--config", "{tmp}/run.cfg"]
+_TABLE = "a,b,y\n1,1,2\n1,2,3\n2,1,4\n2,2,6\n"
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys)
@@ -79,6 +88,41 @@ class TestExitCodes:
             code, _, err = run_cli(capsys, *argv, "--out-dir", out_dir)
             assert code == 1
             assert "usage error: cannot create --out-dir" in err
+
+    @pytest.mark.parametrize("argv, files, code, fragment", [
+        ([*_PREDICTOR, "--N", "1"], {}, 1, "usage error: --N must be >= 2"),
+        ([*_PREDICTOR, "--r", "0"], {}, 1, "usage error: --r must be positive"),
+        ([*_SIMULATE, "--s", "4"], {}, 1, "usage error: --s must be odd and >= 3"),
+        ([*_EXPERIMENT, "--parallelism", "0"], {}, 1, "usage error: --parallelism must be >= 1"),
+        ([*_EXPERIMENT, "--reps", "0"], {}, 1, "usage error: --reps must be >= 1"),
+        ([*_ANOVA, "--response", "y", "--factors", ","], {"t.csv": _TABLE}, 1,
+         "usage error: --factors must name at least one column"),
+        ([*_ANOVA, "--response", "z", "--factors", "a,b"], {"t.csv": _TABLE}, 2,
+         "data error: table lacks columns: z"),
+        (["fit", "--data", "{tmp}/d.csv", "--out", "{tmp}/o.json", "--fixed-spec", "{tmp}/s.json"],
+         {"s.json": "columns: [w]\n"}, 2, "data error: bad fixed-effects spec"),
+        (["fit", "--data", "{tmp}/g.csv", "--out", "{tmp}/o.json", "--fixed-spec", "{tmp}/s.json"],
+         {"g.csv": "cluster,j,x,y\n1,1,0,1\n1,2,1,2\n2,1,0,1\n2,2,1,3\n",
+          "s.json": '{"columns": ["w"]}'},
+         2, "data error: {tmp}/g.csv: fixed-effect columns not present: ['w']"),
+        (_CONFIG, {}, 2, "data error: cannot read config file"),
+        (_CONFIG, {"run.cfg": "# reps\nreps 2\n"}, 2,
+         "data error: config line 2: expected KEY=VALUE"),
+        (_CONFIG, {"run.cfg": "reps=x\n"}, 2, "config"),
+        (_CONFIG, {"run.cfg": "variance-mode=bogus\n"}, 2,
+         "data error: config file: argument --variance-mode: invalid choice: 'bogus'"),
+    ], ids=["predictor-N", "predictor-r", "simulate-s", "parallelism", "reps", "anova-factors",
+            "anova-response", "fixed-spec-not-json", "fixed-spec-column-missing",
+            "config-unreadable", "config-no-equals", "config-reps", "config-variance-mode"])
+    def test_error_exits_before_any_output(self, capsys, tmp_path, argv, files, code, fragment):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        got, stdout, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert (got, stdout) == (code, "")
+        assert fragment.format(tmp=tmp_path) in err
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "d.csv").exists()
+        assert not (tmp_path / "experiment_A_summary.csv").exists()
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

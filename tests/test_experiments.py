@@ -9,7 +9,7 @@ from remlab import (AnovaRow, Classification, ExperimentSetting, RepRecord,
                     VarianceMode, anova_balanced, derive_seed,
                     experiment_catalog, factorial_grid, interaction_plot_data,
                     ls_means, predictor_minus_one, predictor_plus_one,
-                    run_replicate, run_settings, summarize, with_reps)
+                    run_replicate, run_settings, with_reps)
 from remlab.errors import EstimabilityError
 from remlab.experiments import (SettingSummary, _summaries,
                                 write_replicate_csv, write_summary_csv)
@@ -145,7 +145,7 @@ class TestSummaries:
                  Classification.GOOD, Classification.GOOD,
                  Classification.GOOD, Classification.GOOD]
         recs = [self._fake_record("t1", i, c) for i, c in enumerate(kinds)]
-        sm = summarize(st, recs)
+        [sm] = _summaries([st], [recs])
         assert (sm.n_m1, sm.n_p1, sm.n_nan) == (2, 1, 1)
         assert (sm.pct_m1, sm.pct_p1, sm.pct_nan) == (25.0, 12.5, 12.5)
         assert sm.pct_bad == 50.0
@@ -160,7 +160,7 @@ class TestSummaries:
         st = ExperimentSetting("t2", "T", 100, 9, -0.5, 10.0, 3)
         recs = [self._fake_record("t2", i, Classification.GOOD)
                 for i in range(3)]
-        sm = summarize(st, recs)
+        [sm] = _summaries([st], [recs])
         assert sm.pct_bad == sm.pct_m1 + sm.pct_p1 + sm.pct_nan == 0.0
         assert sm.mc_se_bad == 0.0
 
@@ -172,15 +172,10 @@ class TestSummaries:
                  + [Classification.RHO_PLUS_ONE] * 4
                  + [Classification.ZERO_VARIANCE])
         recs = [self._fake_record("t4", i, c) for i, c in enumerate(kinds)]
-        sm = summarize(st, recs)
+        [sm] = _summaries([st], [recs])
         assert (sm.n_m1, sm.n_p1, sm.n_nan) == (1, 4, 1)
         assert sm.pct_bad == 100.0
         assert sm.mc_se_bad == 0.0
-
-    def test_record_count_checked(self):
-        st = ExperimentSetting("t3", "T", 100, 9, -0.5, 10.0, 5)
-        with pytest.raises(ValueError, match="expected 5"):
-            summarize(st, [])
 
     def test_catalog_predictors_equal_scalar_calls(self):
         # one array call for all settings gives the scalar values exactly

@@ -11,12 +11,12 @@ from remlab import (Classification, DataError, DegenerateDataError, DesignSpec, 
                     GeneralDataset, VarianceParams, derive_seed, eblups,
                     experiment_catalog, fit_balanced, fit_general, simulate)
 from remlab import reml_core
-from remlab.invivo import default_phi_grid, inflated_datasets, make_surrogate
+from remlab.invivo import default_phi_grid, make_surrogate
 from remlab.model_system import parse_dataset_rows
 from remlab.reml_core import (_chol, _cluster_lines, _general_moment_start, _GeneralPieces,
                               _newton, _theta)
 
-from reference import log_rl_dense_oracle
+from reference import inflated_datasets, log_rl_dense_oracle, sigma_matrix
 
 
 def read_general_csv(path, fixed_columns=()):
@@ -370,7 +370,7 @@ class TestEngineAgreement:
         data = unbalanced_dataset(seed=5)
         fit = fit_general(data)
         vp = fit.params
-        sig = vp.sigma_matrix()
+        sig = sigma_matrix(vp)
         xtvx = np.zeros((2, 2))
         xtvy = np.zeros(2)
         for x, X, y in clusters(data):
@@ -547,7 +547,7 @@ class TestEblups:
         fit = fit_general(data)
         u = eblups(fit, data)
         vp = fit.params
-        sig = vp.sigma_matrix()
+        sig = sigma_matrix(vp)
         for i, (x, X, y) in enumerate(clusters(data)):
             H = np.column_stack([np.ones_like(x), x])
             V = H @ sig @ H.T + vp.sigma2_e * np.eye(len(x))

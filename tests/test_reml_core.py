@@ -9,7 +9,7 @@ import pytest
 
 from remlab import (Classification, ClassifyTolerances, ClusteredDataset,
                     DegenerateDataError, DesignSpec,
-                    FixedEffects, GeneralDataset, VarianceParams,
+                    FixedEffects, GeneralDataset, SuffStats, VarianceParams,
                     classify, derive_seed, experiment_catalog, fit_balanced,
                     fit_general, log_restricted_likelihood, simulate,
                     sufficient_stats)
@@ -185,6 +185,15 @@ class TestFitBalanced:
             assert fit.params.rho <= -1.0 + 1e-6
         if expected is Classification.RHO_PLUS_ONE:
             assert fit.params.rho >= 1.0 - 1e-6
+
+    def test_zero_slope_variance_tag(self):
+        # T = diag(400, 1): l2 / dfb = 1/49 is pooled into sigma2_e, and the
+        # top eigenvector is the intercept axis, so only sigma2_s is zero
+        fit = fit_balanced(SuffStats(DesignSpec(50, 9), rss=350.0,
+                                     t_outer=np.diag([400.0, 1.0])))
+        assert fit.classification is Classification.ZERO_VARIANCE
+        assert fit.boundary_variance == "sigma2_s"
+        assert fit.params.sigma2_s == 0.0 and fit.params.sigma2_c > 0.0
 
     def test_scale_equivariance(self):
         base = simulate(DesignSpec(120, 9), FixedEffects(0.0, 0.0),

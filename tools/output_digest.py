@@ -7,11 +7,14 @@ checkout it lives in, inside a fresh temporary directory, so every path a
 command sees or prints is relative.  For each command it prints one line
 with the exit code and the sha256 of its stdout, then one line per file the
 command wrote or changed, with that file's sha256.  The commands cover every
-writer of a CSV (``simulate``, two experiments, the factorial with its
-interaction files, the predictor sweep, the in-vivo sweep on the surrogate
-and on a premium file, and ``write_hmo_csv`` of three surrogates), ``fit``
-on a balanced and on a general file, ``anova`` with LS-means, and the
-malformed ``anova`` and ``--fixed-spec`` inputs that must exit 2 or 1.
+subcommand and every writer of a CSV (``simulate``, two experiments, the
+factorial with its interaction files, the predictor sweep, the in-vivo sweep
+on the surrogate and on a premium file, and ``write_hmo_csv`` of three
+surrogates), ``predictor`` in both forms and at an r whose predictor
+underflows, ``fit`` on a balanced and on a general file, an experiment in
+the fix_error variance mode, an experiment and an in-vivo sweep whose flags
+come from a ``--config`` file, ``anova`` with LS-means, and the malformed
+``anova`` and ``--fixed-spec`` inputs that must exit 2 or 1.
 
 Run it on two checkouts and ``diff`` the outputs: an empty diff means every
 command exits the same way, prints the same bytes and writes the same files.
@@ -36,9 +39,13 @@ from remlab import cli, invivo  # noqa: E402
 SIMULATE = ["simulate", "--N", "30", "--s", "7", "--sigma2-e", "2", "--sigma2-c", "1",
             "--sigma2-s", "0.5", "--rho", "0.3", "--seed", "11", "--out", "sim.csv"]
 ANOVA = ["anova", "--response", "y", "--factors", "a,b"]
+PREDICTOR = ["predictor", "--N", "500", "--s", "21", "--rho", "-0.8", "--r", "10"]
 
 COMMANDS = [
     SIMULATE,
+    PREDICTOR,
+    [*PREDICTOR, "--as-printed"],
+    [*PREDICTOR, "--r", "1e300"],
     ["fit", "--data", "sim.csv", "--out", "fit_balanced.json"],
     ["fit", "--data", "general.csv", "--out", "fit_general.json"],
     ["fit", "--data", "general.csv", "--out", "fit_w.json", "--fixed-spec", "spec_list.json"],
@@ -47,7 +54,10 @@ COMMANDS = [
     ["experiment", "C", "--reps", "30", "--parallelism", "2", "--out-dir", "exp_c"],
     ["experiment", "factorial", "--scale", "0.3", "--reps", "2", "--out-dir", "factorial"],
     ["experiment", "predictor-sweep", "--out-dir", "sweep"],
+    ["experiment", "A", "--reps", "3", "--variance-mode", "fix_error", "--out-dir", "exp_a_fix_error"],
+    ["experiment", "A", "--config", "experiment.cfg"],
     ["invivo", "--surrogate", "--out-dir", "invivo"],
+    ["invivo", "--surrogate", "--config", "invivo.cfg"],
     ["invivo", "--data", "hmo_0.csv", "--out", "invivo_hmo_0.csv"],
     ["anova", "--table", "factorial/experiment_factorial_summary.csv", "--response", "pct_bad",
      "--factors", "N,s,rho", "--ls-means", "s"],
@@ -66,7 +76,8 @@ def sha(data: bytes) -> str:
 
 def write_inputs():
     """The input files that no command writes: a general dataset, two
-    fixed-effects specs, three premium files and the anova tables."""
+    fixed-effects specs, three premium files, the anova tables and two
+    config files."""
     with open("sim.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     # every fourth row dropped makes the clusters unequal; w is a third fixed column
@@ -83,7 +94,9 @@ def write_inputs():
               "no_rows.csv": "a,b,y\n",
               "nan_response.csv": "a,b,y\n1,1,2\n1,2,nan\n2,1,4\n2,2,6\n",
               "short_row.csv": "a,b,y\n1,1,2\n1,2\n2,1,4\n2,2,6\n"}
-    for name, text in tables.items():
+    configs = {"experiment.cfg": "# a config file\nreps=3\nseed=7\nout-dir=exp_a_config\n",
+               "invivo.cfg": "phi-end=1.5\nout-dir=invivo_config\n"}
+    for name, text in {**tables, **configs}.items():
         with open(name, "w") as fh:
             fh.write(text)
 
