@@ -227,8 +227,12 @@ def _cmd_experiment(args) -> int:
     reps = args.reps
     if reps is not None and reps < 1:
         raise UsageError("--reps must be >= 1")
-    out_dir = _out_dir(args)
     name = args.name
+    if args.scale is not None and name != "factorial":
+        raise UsageError("--scale applies only to the factorial experiment")
+    if args.variance_mode is not None and name == "predictor-sweep":
+        raise UsageError("--variance-mode does not apply to predictor-sweep")
+    out_dir = _out_dir(args)
 
     if name == "predictor-sweep":
         n_draws = reps if reps is not None else 1000
@@ -238,7 +242,7 @@ def _cmd_experiment(args) -> int:
         print(f"wrote {len(table['draw'])} draws to {out}")
         return 0
 
-    mode = VarianceMode(args.variance_mode)
+    mode = VarianceMode(args.variance_mode or VarianceMode.FIX_RANDOM_EFFECTS)
     if name == "factorial":
         settings = _ex.factorial_grid(scale=args.scale,
                                       reps=reps if reps else 40,
@@ -401,9 +405,9 @@ def build_parser() -> _Parser:
                         "predictor-sweep)")
     p.add_argument("--scale", type=float, default=None,
                    help="factorial grid subsampling factor")
-    p.add_argument("--variance-mode", default=VarianceMode.FIX_RANDOM_EFFECTS.value,
+    p.add_argument("--variance-mode", default=None,
                    choices=[m.value for m in VarianceMode],
-                   help="how r is realised (default %(default)s)")
+                   help=f"how r is realised (default {VarianceMode.FIX_RANDOM_EFFECTS.value})")
     _add_shared(p, "--seed", "--parallelism", "--out-dir")
     p.set_defaults(func=_cmd_experiment)
 

@@ -7,7 +7,9 @@ least-squares means, and interaction-plot aggregation.
 
 Reproducibility model: every replicate's seed is derived from
 (master_seed, setting id, replicate index) by hashing, so results are
-independent of execution order and of the parallelism degree.  Summaries
+independent of execution order and of the parallelism degree, and
+`run_settings` joins the records of its contiguous blocks of replicates in
+order, so the partition into tasks never shows in the output.  Summaries
 are pure reductions over the replicate records, in (setting, rep) order.
 """
 
@@ -223,10 +225,10 @@ def run_replicate(setting: ExperimentSetting, master_seed: int,
         log_rl=fit.log_rl)
 
 
-def _run_chunk(args) -> list[RepRecord]:
-    setting, master_seed, rep_lo, rep_hi = args
-    return [run_replicate(setting, master_seed, rep)
-            for rep in range(rep_lo, rep_hi)]
+def _run_chunk(block: list[tuple[ExperimentSetting, int]],
+               master_seed: int) -> list[RepRecord]:
+    """Run one block of (setting, rep) pairs, in order: one pool task."""
+    return [run_replicate(st, master_seed, rep) for st, rep in block]
 
 
 def _summaries(settings: list[ExperimentSetting],
@@ -257,7 +259,33 @@ def _summaries(settings: list[ExperimentSetting],
     return out
 
 
-_CHUNK_REPS = 25  # replicates per pool task
+# A replicate takes about a + b * N * s: the draws and the statistics grow
+# with the data, the fit does not.  a / b was about 3,000 on a 2-core host
+# (75 us and 0.023 us), so a replicate weighs N * s + _REP_OVERHEAD.
+_REP_OVERHEAD = 3000
+# pool tasks per worker: a few, so that a block costlier than estimated
+# does not hold up the end of the run (1 to 8 read alike on mc_factorial)
+_BLOCKS_PER_WORKER = 4
+
+
+def _blocks(settings: list[ExperimentSetting],
+            n_blocks: int) -> list[list[tuple[ExperimentSetting, int]]]:
+    """Cut the (setting, rep) sequence, in order, into at most ``n_blocks``
+    contiguous blocks of about equal estimated cost.
+
+    A replicate goes to the block whose equal share of the total cost holds
+    the midpoint of its own cost, so no block is empty and each differs from
+    its share by less than one replicate; a setting may span several blocks.
+    """
+    weights = [st.n_clusters * st.cluster_size + _REP_OVERHEAD for st in settings]
+    total = sum(w * st.reps for st, w in zip(settings, weights))
+    keyed, done = [], 0
+    for st, w in zip(settings, weights):
+        for rep in range(st.reps):
+            keyed.append(((2 * done + w) * n_blocks // (2 * total), (st, rep)))
+            done += w
+    return [[pair for _, pair in group]
+            for _, group in itertools.groupby(keyed, key=itemgetter(0))]
 
 
 def run_settings(settings: list[ExperimentSetting], master_seed: int,
@@ -265,25 +293,26 @@ def run_settings(settings: list[ExperimentSetting], master_seed: int,
                  ) -> tuple[list[SettingSummary], list[RepRecord]]:
     """Run many settings, optionally across processes.
 
-    The output is deterministic for a given master seed: replicate seeds
-    are derived per (setting, rep), and tasks are built in (setting order,
-    rep) order, which the serial loop and ``pool.map`` both return them in.
-    So the records come back in that order at any parallelism degree, and
-    each setting's are the next ``st.reps`` of them.
+    The (setting, rep) sequence is cut, in order, into contiguous blocks of
+    about equal estimated cost (``_blocks``): one when serial, else
+    ``_BLOCKS_PER_WORKER`` per worker, so each worker gets a few tasks of
+    similar length whatever the mix of design sizes.  A pool of at most one
+    worker per block runs them; with one block no pool opens.
+
+    The output does not depend on the partition: replicate seeds are
+    derived per (setting, rep), and the blocks' records are joined in block
+    order, so the records come back in (setting, rep) order at any
+    parallelism degree, and each setting's are the next ``st.reps`` of them.
     """
     ids = [st.id for st in settings]
     if len(set(ids)) != len(ids):
         raise ValueError("setting ids must be unique within a run")
-    tasks = []
-    for st in settings:
-        for lo in range(0, st.reps, _CHUNK_REPS):
-            tasks.append((st, master_seed, lo, min(lo + _CHUNK_REPS, st.reps)))
-
-    if parallelism <= 1:
-        chunks = [_run_chunk(t) for t in tasks]
+    blocks = _blocks(settings, _BLOCKS_PER_WORKER * parallelism if parallelism > 1 else 1)
+    if len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(blocks))) as pool:
+            chunks = list(pool.map(_run_chunk, blocks, itertools.repeat(master_seed)))
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            chunks = list(pool.map(_run_chunk, tasks, chunksize=1))
+        chunks = [_run_chunk(block, master_seed) for block in blocks]
 
     records = [rec for chunk in chunks for rec in chunk]
     rest = iter(records)

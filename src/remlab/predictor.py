@@ -57,8 +57,10 @@ def _grid_q(s):
 def _core(n, s, rho_eff, r, as_printed):
     """Shared evaluation; rho_eff is already mirrored for the +1 variant."""
     q = _grid_q(s)
-    # (1 + r/s)(1 + r/q) - 1 computed directly, avoiding cancellation
-    gm1 = r / s + r / q + (r * r) / (s * q)
+    # (1 + r/s)(1 + r/q) - 1 computed directly, avoiding cancellation; past
+    # r ~ 1e154 it overflows to inf, which gives the score's limit 0
+    with np.errstate(over="ignore"):
+        gm1 = r / s + r / q + (r * r) / (s * q)
     c1 = (n - 1) / (n * (s - 2.0))
     ratio = (n * s - 2.0) / (n * s - n - 1.0)
     numer = 1.0 - c1 * rho_eff

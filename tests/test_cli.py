@@ -21,6 +21,7 @@ _SIMULATE = ["simulate", "--N", "10", "--s", "5", "--sigma2-e", "1", "--sigma2-c
 _EXPERIMENT = ["experiment", "A", "--reps", "1", "--out-dir", "{tmp}"]
 _ANOVA = ["anova", "--table", "{tmp}/t.csv"]
 _CONFIG = ["experiment", "A", "--out-dir", "{tmp}", "--config", "{tmp}/run.cfg"]
+_SWEEP = ["experiment", "predictor-sweep", "--reps", "5", "--out-dir", "{tmp}"]
 _TABLE = "a,b,y\n1,1,2\n1,2,3\n2,1,4\n2,2,6\n"
 
 
@@ -111,9 +112,21 @@ class TestExitCodes:
         (_CONFIG, {"run.cfg": "reps=x\n"}, 2, "config"),
         (_CONFIG, {"run.cfg": "variance-mode=bogus\n"}, 2,
          "data error: config file: argument --variance-mode: invalid choice: 'bogus'"),
+        # a flag the chosen experiment does not read, on the command line or
+        # in the config file, is rejected like --reps 0 is
+        ([*_EXPERIMENT, "--scale", "0.5"], {}, 1,
+         "usage error: --scale applies only to the factorial experiment"),
+        (_CONFIG, {"run.cfg": "scale=0.5\n"}, 1,
+         "usage error: --scale applies only to the factorial experiment"),
+        ([*_SWEEP, "--variance-mode", "fix_error"], {}, 1,
+         "usage error: --variance-mode does not apply to predictor-sweep"),
+        ([*_SWEEP, "--config", "{tmp}/run.cfg"], {"run.cfg": "variance-mode=fix_random_effects\n"},
+         1, "usage error: --variance-mode does not apply to predictor-sweep"),
     ], ids=["predictor-N", "predictor-r", "simulate-s", "parallelism", "reps", "anova-factors",
             "anova-response", "fixed-spec-not-json", "fixed-spec-column-missing",
-            "config-unreadable", "config-no-equals", "config-reps", "config-variance-mode"])
+            "config-unreadable", "config-no-equals", "config-reps", "config-variance-mode",
+            "scale-outside-factorial", "config-scale-outside-factorial",
+            "sweep-variance-mode", "config-sweep-variance-mode"])
     def test_error_exits_before_any_output(self, capsys, tmp_path, argv, files, code, fragment):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -123,6 +136,7 @@ class TestExitCodes:
         assert not (tmp_path / "o.json").exists()
         assert not (tmp_path / "d.csv").exists()
         assert not (tmp_path / "experiment_A_summary.csv").exists()
+        assert not (tmp_path / "predictor_sweep.csv").exists()
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")

@@ -1,6 +1,7 @@
 """Tests for the experiment catalog, runner, and analysis helpers."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from remlab import (AnovaRow, Classification, ExperimentSetting, RepRecord,
                     experiment_catalog, factorial_grid, interaction_plot_data,
                     ls_means, predictor_minus_one, predictor_plus_one,
                     run_replicate, run_settings, with_reps)
+from remlab import experiments
 from remlab.errors import EstimabilityError
-from remlab.experiments import (SettingSummary, _summaries,
+from remlab.experiments import (_REP_OVERHEAD, SettingSummary, _blocks, _summaries,
                                 write_replicate_csv, write_summary_csv)
 
 from reference import sign_test_plus_vs_minus
@@ -201,29 +203,66 @@ class TestSummaries:
 
 
 class TestRunSettings:
+    # unequal designs and rep counts: a 1-rep setting, a 60-rep one that
+    # spans several blocks at any parallelism above 1, and a larger design
+    UNEQUAL = [ExperimentSetting("u1", "P", 20, 5, -0.5, 10.0, 1),
+               ExperimentSetting("u2", "P", 20, 5, 0.0, 100.0, 60),
+               ExperimentSetting("u3", "P", 150, 25, -0.8, 30.0, 5)]
+    # 4 replicates in all, fewer than the 32 blocks asked for at parallelism 8
+    FEW = [ExperimentSetting("f1", "P", 20, 5, -0.5, 10.0, 1),
+           ExperimentSetting("f2", "P", 150, 25, -0.8, 30.0, 3)]
+
     def _small_settings(self):
-        # 30 reps: each setting spans two pool tasks of 25 and 5
         return [ExperimentSetting("p1", "P", 20, 5, -0.5, 10.0, 30),
                 ExperimentSetting("p2", "P", 20, 5, 0.0, 100.0, 30)]
 
     def test_parallelism_invariance(self, tmp_path):
-        settings = self._small_settings()
-        sums1, recs1 = run_settings(settings, 77, parallelism=1)
-        sums2, recs2 = run_settings(settings, 77, parallelism=2)
-        assert len(recs1) == len(recs2)
-        for a, b in zip(recs1, recs2):
-            # rho_hat is NaN on zero-variance fits, so compare via repr
-            assert repr(a) == repr(b)
-        for a, b in zip(sums1, sums2):
-            assert a == b
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_replicate_csv(recs1, f1)
-        write_replicate_csv(recs2, f2)
-        assert f1.read_bytes() == f2.read_bytes()
-        s1, s2 = tmp_path / "sa.csv", tmp_path / "sb.csv"
-        write_summary_csv(sums1, s1)
-        write_summary_csv(sums2, s2)
-        assert s1.read_bytes() == s2.read_bytes()
+        for settings in (self.UNEQUAL, self.FEW):
+            outputs = []
+            for parallelism in (1, 2, 3, 8):
+                sums, recs = run_settings(settings, 77, parallelism=parallelism)
+                rep_csv, sum_csv = tmp_path / "r.csv", tmp_path / "s.csv"
+                write_replicate_csv(recs, rep_csv)
+                write_summary_csv(sums, sum_csv)
+                # rho_hat is NaN on zero-variance fits, so compare via repr
+                outputs.append((repr(recs), repr(sums), rep_csv.read_bytes(),
+                                sum_csv.read_bytes()))
+            assert len(recs) == sum(st.reps for st in settings)
+            for got in outputs[1:]:
+                assert got == outputs[0]
+
+    @pytest.mark.parametrize("settings, n_blocks", [
+        (UNEQUAL, 1), (UNEQUAL, 8), (UNEQUAL, 12), (UNEQUAL, 32), (FEW, 32)])
+    def test_blocks_cut_the_sequence_by_cost(self, settings, n_blocks):
+        blocks = _blocks(settings, n_blocks)
+        assert all(blocks) and len(blocks) <= n_blocks
+        assert [pair for block in blocks for pair in block] \
+            == [(st, rep) for st in settings for rep in range(st.reps)]
+        weight = {st.id: st.n_clusters * st.cluster_size + _REP_OVERHEAD for st in settings}
+        share = sum(weight[st.id] * st.reps for st in settings) / n_blocks
+        for block in blocks:
+            # each replicate sits in the block holding its cost's midpoint
+            cost = sum(weight[st.id] for st, _ in block)
+            assert abs(cost - share) < max(weight.values())
+        if n_blocks > 1 and settings is self.UNEQUAL:
+            assert sum(any(st.id == "u2" for st, _ in block) for block in blocks) > 1
+
+    def test_pool_opens_one_worker_per_block_at_most(self, monkeypatch):
+        opened = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+        _, recs = run_settings(self.FEW, 77, parallelism=8)  # four blocks of one
+        assert opened == [4] and len(recs) == 4
+        run_settings(self.FEW[:1], 77, parallelism=8)  # one block: no pool
+        run_settings(self.UNEQUAL, 77)  # serial: one block
+        assert opened == [4]
+        run_settings(self.UNEQUAL, 77, parallelism=2)
+        assert opened == [4, 2]
 
     def test_records_sorted_and_complete(self):
         settings = self._small_settings()

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,16 @@ class TestProperties:
         assert val < -590
         val_p = log10_predictor_plus_one(500, 21, -0.5, 1e300)
         assert math.isfinite(val_p)
+
+    def test_direct_score_past_overflow_is_zero_without_warning(self):
+        # (1 + r/s)(1 + r/q) - 1 exceeds float range: the score is its limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for as_printed in (False, True):
+                assert predictor_minus_one(500, 21, -0.8, 1e300, as_printed) == 0.0
+                assert predictor_plus_one(500, 21, -0.8, 1e300, as_printed) == 0.0
+                assert log10_predictor_minus_one(500, 21, -0.8, 1e300, as_printed) \
+                    == -595.7921594388062
 
     def test_sample_size_counters_noise_ratio(self):
         # raising r by 10^0.4 and N by ~5 (or s by ~3) roughly restores
