@@ -232,6 +232,8 @@ def _cmd_experiment(args) -> int:
         raise UsageError("--scale applies only to the factorial experiment")
     if args.variance_mode is not None and name == "predictor-sweep":
         raise UsageError("--variance-mode does not apply to predictor-sweep")
+    if parallelism != 1 and name == "predictor-sweep":
+        raise UsageError("--parallelism does not apply to predictor-sweep")
     out_dir = _out_dir(args)
 
     if name == "predictor-sweep":

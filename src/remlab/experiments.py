@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -297,7 +298,7 @@ def run_settings(settings: list[ExperimentSetting], master_seed: int,
     about equal estimated cost (``_blocks``): one when serial, else
     ``_BLOCKS_PER_WORKER`` per worker, so each worker gets a few tasks of
     similar length whatever the mix of design sizes.  A pool of at most one
-    worker per block runs them; with one block no pool opens.
+    worker per block and per CPU runs them; with one block no pool opens.
 
     The output does not depend on the partition: replicate seeds are
     derived per (setting, rep), and the blocks' records are joined in block
@@ -309,7 +310,8 @@ def run_settings(settings: list[ExperimentSetting], master_seed: int,
         raise ValueError("setting ids must be unique within a run")
     blocks = _blocks(settings, _BLOCKS_PER_WORKER * parallelism if parallelism > 1 else 1)
     if len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(blocks))) as pool:
+        workers = min(parallelism, len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, blocks, itertools.repeat(master_seed)))
     else:
         chunks = [_run_chunk(block, master_seed) for block in blocks]

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DataError
 from .model_system import VarianceParams, philox, write_csv
 from .reml_core import (Classification, ClassifyTolerances, FitResult,
-                        GeneralDataset, _GeneralPieces, eblups, fit_general)
+                        GeneralDataset, eblups, fit_general)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +308,16 @@ def phi_sweep(data: HmoDataset, phis=None,
     phis = default_phi_grid() if phis is None else [float(phi) for phi in phis]
     if not all(math.isfinite(phi) and phi >= 1.0 for phi in phis):
         raise ValueError("phi must be finite and >= 1")
-    gen = data.to_general()
-    pieces = _GeneralPieces(gen)  # the baseline fit, its EBLUPs and every refit share it
-    base = fit_general(pieces, tol)
-    u = np.repeat(eblups(base, pieces), gen.sizes, axis=0)
+    gen = data.to_general()  # the baseline fit, its EBLUPs and every refit share its design
+    base = fit_general(gen, tol)
+    u = np.repeat(eblups(base, gen), gen.sizes, axis=0)
     fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
     residual = gen.y - fitted
     phi0, theta0 = phi1, theta1 = 1.0, _fit_theta(base)
     rows: list[InvivoRow] = []
     for phi in phis:
         ratio = (phi - phi1) / (phi1 - phi0) if phi1 != phi0 else 0.0
-        fit = fit_general(pieces.with_response(fitted + phi * residual), tol, start=tuple(
+        fit = fit_general(gen.with_response(fitted + phi * residual), tol, start=tuple(
             b + ratio * (b - a) for a, b in zip(theta0, theta1)))
         (phi0, theta0), (phi1, theta1) = (phi1, theta1), (phi, _fit_theta(fit))
         p = fit.params

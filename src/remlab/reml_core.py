@@ -13,9 +13,10 @@ log_rl, and the GLS fixed effects ``beta`` from the general engine only):
   cluster a contiguous block of rows.  Each cluster is reduced once to 2x2
   and 2x(p+1) cross-products, with no per-cluster loop.  One objective call
   is then closed-form 2x2 algebra on length-k arrays, one matrix-vector
-  product and one Cholesky factorisation of a (p+1)x(p+1) matrix (see
-  ``_GeneralPieces``), and the search starts from per-cluster OLS moments
-  formed from the same cross-products.
+  product and one Cholesky factorisation of a (p+1)x(p+1) matrix, and the
+  search starts from per-cluster OLS moments formed from the same
+  cross-products.  The dataset holds them, and ``with_response`` reuses the
+  design's under a new response, as lme4's ``refit`` does.
 
 The general engine searches the relative Cholesky factor L of
 Sigma_rel = LL', the random-effect covariance relative to the error
@@ -280,25 +281,38 @@ def fit_balanced(data, tol=ClassifyTolerances()):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class GeneralDataset:
-    """Unbalanced two-level dataset with random intercept and slope on x.
+    """Unbalanced random intercept/slope dataset and its per-cluster cross-products.
 
     The rows are held flat, as lme4 holds them: regressor values x (n,),
     fixed-effect rows X (n, p) and responses y (n,).  Cluster k owns the
     sizes[k] rows that follow those of clusters 0..k-1.
+
+    The relative covariance is Sigma = LL' = [[a, b], [b, c]] with the
+    Cholesky factor L = [[l11, 0], [l21, l22]], passed as l = (l11, l21, l22)
+    to every method.  With H_k = [1, x], V_k / sigma2_e = I + H_k Sigma H_k' has
+    inverse I - H_k S_k H_k' with S_k = Sigma (I + C_k Sigma)^-1 and
+    C_k = H_k'H_k.  In closed form S_k = (Sigma + det(Sigma) adj(C_k)) / d_k
+    with d_k = det(I + C_k Sigma), so S_k is exactly symmetric, and d_k and
+    the numerators of (S00, 2 S01, S11) are linear in (1, a, 2b, c, det
+    Sigma): one small product ``lin`` gives them for every cluster.
+
+    With Z_k = H_k'[X_k, y_k], the augmented GLS matrix
+    [[X'V^-1X, X'V^-1y], [., y'V^-1y]] is [X, y]'[X, y] - sum_k Z_k'S_k Z_k,
+    and Z_k'S_k Z_k is linear in (S00, 2 S01, S11); ``W`` stacks those three
+    products for every cluster, so one matrix-vector product forms the whole
+    matrix.  Its Cholesky factor gives log det(X'V^-1X) from the first p
+    pivots and the GLS residual sum of squares as the last pivot squared
+    (a Schur complement).  Only y, z, W and base change with the response
+    (``with_response``).  n_points counts the points at which ``_value`` or
+    ``sigma_gradient`` was evaluated, each point of a stack included.
     """
 
-    x: np.ndarray  # (n,)
-    X: np.ndarray  # (n, p)
-    y: np.ndarray  # (n,)
-    sizes: np.ndarray  # (k,) ints >= 1 that sum to n
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        sizes = np.asarray(self.sizes, dtype=np.int64)
+    def __init__(self, x, X, y, sizes):
+        x = np.asarray(x, dtype=float)
+        X = np.asarray(X, dtype=float)
+        y = np.asarray(y, dtype=float)
+        sizes = np.asarray(sizes, dtype=np.int64)
         if (x.ndim != 1 or y.shape != x.shape or X.ndim != 2 or X.shape[0] != x.shape[0]
                 or sizes.ndim != 1):
             raise ValueError("cluster arrays must be (n,), (n, p), (n,) and sizes (k,)")
@@ -312,20 +326,32 @@ class GeneralDataset:
             raise ValueError("cluster sizes must sum to the number of rows")
         if x.shape[0] <= X.shape[1] + 2:
             raise ValueError("need more observations than fixed effects plus two")
-        for name, value in (("x", x), ("X", X), ("y", y), ("sizes", sizes)):
-            object.__setattr__(self, name, value)
+        self.x, self.X, self.sizes, self.n_points = x, X, sizes, 0
+        n, p = self.n_total, self.p = X.shape
+        k = self.n_clusters = sizes.shape[0]
+        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self.dof = n - p
+        self.offset = 0.5 * self.dof * (1.0 - math.log(self.dof))
 
-    @property
-    def p(self):
-        return self.X.shape[1]
+        c00 = sizes.astype(float)
+        c01, c11 = np.add.reduceat(x, self.starts), np.add.reduceat(x * x, self.starts)
+        self.c = np.stack([[c00, c01], [c01, c11]]).transpose(2, 0, 1)
+        self.c_sum = self.c.sum(axis=0)
+        self.csc = _sym_products(self.c[:, :, 0], self.c[:, :, 1])
+        det = c00 * c11 - c01 * c01
+        ok = det > 1e-12 * c00 * c11  # above the rounding of det, which is 0 for constant x
+        self.line_design = ok, det[ok], n > k + np.count_nonzero(ok)  # see _cluster_lines
+        lin = np.zeros((5, 4, k))  # rows (1, a, 2b, c, det Sigma), column blocks (d, S)
+        lin[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
+        lin[1:4, 0] = c00, c01, c11
+        lin[4] = det, c11, -2.0 * c01, c00
+        self.lin = lin.reshape(5, 4 * k)
 
-    @property
-    def n_total(self):
-        return self.x.shape[0]
-
-    @property
-    def n_clusters(self):
-        return self.sizes.shape[0]
+        vars(self).update(vars(self.with_response(y)))  # y, z, W and base
+        xtx = self.base[:p, :p]
+        if np.linalg.matrix_rank(xtx) < p:
+            raise DataError("fixed-effect design is rank deficient")
+        _, self.logdet_xtx = np.linalg.slogdet(xtx)
 
     @classmethod
     def from_rows(cls, rows, fixed_columns=()):
@@ -350,59 +376,8 @@ class GeneralDataset:
         X = np.column_stack([np.ones_like(x), x])
         return cls(x=x, X=X, y=data.y.reshape(-1), sizes=np.full(n, s))
 
-
-class _GeneralPieces:
-    """Per-cluster cross-products reused at every objective evaluation.
-
-    The relative covariance is Sigma = LL' = [[a, b], [b, c]] with the
-    Cholesky factor L = [[l11, 0], [l21, l22]], passed as l = (l11, l21, l22)
-    to every method.  With H_k = [1, x], V_k / sigma2_e = I + H_k Sigma H_k' has
-    inverse I - H_k S_k H_k' with S_k = Sigma (I + C_k Sigma)^-1 and
-    C_k = H_k'H_k.  In closed form S_k = (Sigma + det(Sigma) adj(C_k)) / d_k
-    with d_k = det(I + C_k Sigma), so S_k is exactly symmetric, and d_k and
-    the numerators of (S00, 2 S01, S11) are linear in (1, a, 2b, c, det
-    Sigma): one small product ``lin`` gives them for every cluster.
-
-    With Z_k = H_k'[X_k, y_k], the augmented GLS matrix
-    [[X'V^-1X, X'V^-1y], [., y'V^-1y]] is [X, y]'[X, y] - sum_k Z_k'S_k Z_k,
-    and Z_k'S_k Z_k is linear in (S00, 2 S01, S11); ``W`` stacks those three
-    products for every cluster, so one matrix-vector product forms the whole
-    matrix.  Its Cholesky factor gives log det(X'V^-1X) from the first p
-    pivots and the GLS residual sum of squares as the last pivot squared
-    (a Schur complement).  Only z, W and base depend on y (``with_response``).
-    n_points counts the points at which ``_value`` or ``sigma_gradient`` was
-    evaluated, each point of a stack included.
-    """
-
-    def __init__(self, data):
-        self.n_points = 0
-        x = self.x = data.x
-        self.X = data.X
-        self.starts = np.concatenate([[0], np.cumsum(data.sizes)[:-1]])
-        p = self.p = data.p
-        k = self.k = data.n_clusters
-        self.dof = data.n_total - p
-        self.offset = 0.5 * self.dof * (1.0 - math.log(self.dof))
-
-        c00 = data.sizes.astype(float)
-        c01, c11 = np.add.reduceat(x, self.starts), np.add.reduceat(x * x, self.starts)
-        self.c = np.stack([[c00, c01], [c01, c11]]).transpose(2, 0, 1)
-        self.c_sum = self.c.sum(axis=0)
-        self.csc = _sym_products(self.c[:, :, 0], self.c[:, :, 1])
-        lin = np.zeros((5, 4, k))  # rows (1, a, 2b, c, det Sigma), column blocks (d, S)
-        lin[[0, 1, 2, 3], [0, 1, 2, 3]] = 1.0
-        lin[1:4, 0] = c00, c01, c11
-        lin[4] = c00 * c11 - c01 * c01, c11, -2.0 * c01, c00
-        self.lin = lin.reshape(5, 4 * k)
-
-        vars(self).update(vars(self.with_response(data.y)))  # y, z, W and base
-        xtx = self.base[:p, :p]
-        if np.linalg.matrix_rank(xtx) < p:
-            raise DataError("fixed-effect design is rank deficient")
-        _, self.logdet_xtx = np.linalg.slogdet(xtx)
-
     def with_response(self, y):
-        """A shallow copy of these pieces with response y and its own z, W and base."""
+        """A shallow copy of this dataset with response y and its own z, W and base."""
         new, xy = copy.copy(self), np.column_stack([self.X, y])
         z0, z1 = (np.add.reduceat(a, self.starts) for a in (xy, self.x[:, None] * xy))
         new.y, new.z = y, np.stack([z0, z1], axis=1)  # z: (k, 2, p + 1)
@@ -415,14 +390,14 @@ class _GeneralPieces:
         l is one point (l11, l21, l22), unpacked as floats, or the three
         columns of a stack of B points, each of shape (B,), as
         ``sigma_gradient`` passes them; ``_gls`` takes the weights of either.
-        Products with the stored pieces are stacks of row-vector products
+        Products with the stored cross-products are stacks of row-vector products
         (``[..., None, :] @``), so a point rounds in a stack as it does alone.
         """
         l11, l21, l22 = l
         root_det = l11 * l22  # det Sigma = (l11 l22)^2; l11 ** 0.0 is 1 in l11's shape
         coef = np.array([l11 ** 0.0, l11 * l11, 2.0 * l11 * l21, l21 * l21 + l22 * l22,
                          root_det * root_det])
-        out = (coef.T[..., None, :] @ self.lin).reshape(coef.shape[1:] + (4, self.k))
+        out = (coef.T[..., None, :] @ self.lin).reshape(coef.shape[1:] + (4, self.n_clusters))
         return out[..., 0, :], out[..., 1:, :] / out[..., :1, :]
 
     def _gls_matrix(self, w):
@@ -524,7 +499,7 @@ def _theta(l):
 
 
 def fit_general(data, tol=ClassifyTolerances(), start=None):
-    """Maximise the restricted likelihood of an unbalanced dataset (or its ``_GeneralPieces``).
+    """Maximise the restricted likelihood of a ``GeneralDataset``.
 
     The search runs in the relative Cholesky factor L of Sigma_rel = LL', as
     lme4 does (Bates, Maechler, Bolker & Walker 2015, J. Stat. Softw. 67(1)):
@@ -547,8 +522,9 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
     converged is the certificate at the returned point: the first test's
     result, on the M of the search's last step, when neither the facet nor
     ``_snap`` moved the point, else a new test.  n_evals is the number of
-    points the pieces counted during the fit (``_GeneralPieces.n_points``),
-    those of a discarded search from start included.
+    points the dataset counted during the fit (the change in
+    ``GeneralDataset.n_points``), those of a discarded search from start
+    included.
 
     The reported log_rl uses the same orthonormal-contrast constant
     convention as the balanced engine, so the two agree exactly on balanced
@@ -556,37 +532,36 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
     residual variation raise DegenerateDataError (``_cluster_lines``), as
     ``fit_balanced``'s do, before any search.
     """
-    pieces = data if isinstance(data, _GeneralPieces) else _GeneralPieces(data)
-    lines = _cluster_lines(pieces)
-    first_point, converged = pieces.n_points, False
+    lines = _cluster_lines(data)
+    first_point, converged = data.n_points, False
     if start is not None:
-        full, full_value, converged = _search(pieces, _boxed(start))
+        full, full_value, converged = _search(data, _boxed(start))
     if not converged:
-        full, full_value, converged = _search(pieces, _general_moment_start(pieces, lines))
+        full, full_value, converged = _search(data, _general_moment_start(data, lines))
         if not full_value < 1e30:
             raise DegenerateDataError("restricted likelihood is unusable at the starting point")
     theta = tested = _theta(full)
     if not converged:
-        facet, facet_value, _ = _newton(pieces, full[:2], pieces._value(full[:2] + (0.0,)))
+        facet, facet_value, _ = _newton(data, full[:2], data._value(full[:2] + (0.0,)))
         if facet_value <= full_value:
             theta = _theta(facet + (0.0,))
     theta = _snap(theta, tol)
     if theta != tested:
-        converged = _certified(pieces.sigma_gradient(_chol(theta)), theta)
+        converged = _certified(data.sigma_gradient(_chol(theta)), theta)
     l = _chol(theta)
-    value = pieces._value(l)
+    value = data._value(l)
     if not value < 1e30:
         raise DegenerateDataError("restricted likelihood collapsed at the maximiser")
-    _, beta, rss = pieces._gls(pieces._s(l)[1])
-    s2e = float(rss) / pieces.dof
+    _, beta, rss = data._gls(data._s(l)[1])
+    s2e = float(rss) / data.dof
     lc, ls, rho = theta
     vp = VarianceParams(sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho)
     return FitResult(
         params=vp,
         classification=classify(vp, tol),
-        log_rl=float(-value + 0.5 * pieces.logdet_xtx),
+        log_rl=float(-value + 0.5 * data.logdet_xtx),
         converged=converged,
-        n_evals=pieces.n_points - first_point,
+        n_evals=data.n_points - first_point,
         boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, tol),
         beta=beta,
     )
@@ -632,7 +607,7 @@ def _boxed(theta):
             min(max(rho, -0.9), 0.9))
 
 
-def _search(pieces, theta):
+def _search(data, theta):
     """The full Newton search from theta and the certificate at its end.
 
     Returns (end point, its value, certified); where the value is unusable
@@ -640,10 +615,10 @@ def _search(pieces, theta):
     uncertified with value 1e30.
     """
     x = _chol(theta)
-    value = pieces._value(x)
+    value = data._value(x)
     if not value < 1e30:
         return x, 1e30, False
-    end, value, m = _newton(pieces, x, value)
+    end, value, m = _newton(data, x, value)
     return end, value, _certified(m, _theta(end))
 
 
@@ -673,7 +648,7 @@ def _capped(x):
     return x
 
 
-def _newton(pieces, x, f):
+def _newton(data, x, f):
     """Minimise ``value``, f at x, over the leading len(x) Cholesky entries, the rest at 0.
 
     Modified Newton (``_derivatives``, ``_newton_step``) with a backtracking
@@ -687,18 +662,18 @@ def _newton(pieces, x, f):
     Returns (x, value, M), M being ``sigma_gradient`` at x.
     """
     x = np.array(x, dtype=float)
-    (g, m, hess), stale = _derivatives(pieces, x), False
+    (g, m, hess), stale = _derivatives(data, x), False
     for _ in range(_NEWTON_STEPS):
         step = _newton_step(x, g, hess)
         if stale and step is not None:  # predicted with the Hessian before a flat step
-            hess = _hessian(pieces, x)
+            hess = _hessian(data, x)
             step = _newton_step(x, g, hess)
         if step is None:
             break
         slope, t = float(g @ step), 1.0
         while t >= 1e-10:
             trial = _capped(x + t * step)
-            trial_value = pieces._value(tuple(trial) + (0.0,) * (3 - len(x)))
+            trial_value = data._value(tuple(trial) + (0.0,) * (3 - len(x)))
             if trial_value <= f + 1e-4 * t * slope or (
                     t == 1.0 and trial_value <= f + _ROUND * abs(f)):
                 break
@@ -708,40 +683,40 @@ def _newton(pieces, x, f):
         flat = trial_value > f - _ROUND * abs(f)
         if flat and np.abs(trial - x).max() <= _STEP_FLOOR:
             break
-        trial_g, trial_m, trial_hess = _derivatives(pieces, trial, hess if flat else None)
+        trial_g, trial_m, trial_hess = _derivatives(data, trial, hess if flat else None)
         if flat and np.abs(trial_g).max() >= np.abs(g).max():
             break
         x, f, g, m, hess, stale = trial, trial_value, trial_g, trial_m, trial_hess, flat
     return tuple(x.tolist()), f, m
 
 
-def _derivatives(pieces, v, hess=None):
+def _derivatives(data, v, hess=None):
     """(gradient in the leading n = len(v) Cholesky entries, M, Hessian) at v.
 
     One batched ``_gradients`` call takes v and the 2n points v +/- h e_j
     of the Hessian's central difference, or v alone if hess is given.
     """
     n, h = len(v), _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
-    g, m = _gradients(pieces, [v] if hess is not None else [v, *(v + np.diag(h)), *(v - np.diag(h))])
+    g, m = _gradients(data, [v] if hess is not None else [v, *(v + np.diag(h)), *(v - np.diag(h))])
     if hess is None:
         hess = (g[:, 1 : n + 1] - g[:, n + 1 :]) / (2.0 * h)
     return g[:, 0], m[0], hess
 
 
-def _hessian(pieces, v):
+def _hessian(data, v):
     """The Hessian at v from its 2n difference points alone, as ``_derivatives`` takes it."""
     n, h = len(v), _FD_STEP * np.maximum(np.abs(v), _FD_FLOOR)
-    g = _gradients(pieces, [*(v + np.diag(h)), *(v - np.diag(h))])[0]
+    g = _gradients(data, [*(v + np.diag(h)), *(v - np.diag(h))])[0]
     return (g[:, :n] - g[:, n:]) / (2.0 * h)
 
 
-def _gradients(pieces, points):
+def _gradients(data, points):
     """(gradients in the leading n Cholesky entries, one column per point, M at
     each point) for points of length n, from one ``sigma_gradient`` call."""
     n = len(points[0])
     l = np.zeros((len(points), 3))
     l[:, :n] = points
-    m = pieces.sigma_gradient(l)
+    m = data.sigma_gradient(l)
     (m00, m01), (_, m11) = m.transpose(1, 2, 0)
     l11, l21, l22 = l.T
     return 2.0 * np.stack([m00 * l11 + m01 * l21, m01 * l11 + m11 * l21, m11 * l22])[:n], m
@@ -758,30 +733,27 @@ def _newton_step(x, g, hess):
     return step if np.abs(_capped(x + step) - x).max() > _STEP_FLOOR else None
 
 
-def _cluster_lines(pieces):
+def _cluster_lines(data):
     """(ok, a, b, rss): the least-squares lines a + b x of the clusters with spread
-    in x (ok), and each cluster's rss about its line, or about its mean where x is
-    constant.  Raises DegenerateDataError if some cluster has rows to spare yet the
-    pooled rss is at or below its rounding floor n eps y'y (as in
-    ``sufficient_stats``): every cluster then lies on its own line, and the
+    in x (ok, from ``line_design``), and each cluster's rss about its line, or about
+    its mean where x is constant.  Raises DegenerateDataError if some cluster has
+    rows to spare yet the pooled rss is at or below its rounding floor n eps y'y (as
+    in ``sufficient_stats``): every cluster then lies on its own line, and the
     restricted likelihood grows without bound as sigma2_e falls to 0.
     """
-    (c00, c01), (_, c11) = pieces.c.transpose(1, 2, 0)
-    hy0, hy1 = pieces.z[:, :, -1].T
-    det = c00 * c11 - c01 * c01
-    ok = det > 1e-12 * c00 * c11  # above the rounding of det, which is 0 for constant x
-    a, b = (c11 * hy0 - c01 * hy1)[ok] / det[ok], (c00 * hy1 - c01 * hy0)[ok] / det[ok]
-    yy = np.add.reduceat(pieces.y * pieces.y, pieces.starts)
+    (c00, c01), (_, c11) = data.c.transpose(1, 2, 0)
+    (hy0, hy1), (ok, det, spare) = data.z[:, :, -1].T, data.line_design
+    a, b = (c11 * hy0 - c01 * hy1)[ok] / det, (c00 * hy1 - c01 * hy0)[ok] / det
+    yy = np.add.reduceat(data.y * data.y, data.starts)
     rss = yy - hy0 * hy0 / c00
     rss[ok] = yy[ok] - a * hy0[ok] - b * hy1[ok]
-    n = pieces.y.size
-    if n > pieces.k + np.count_nonzero(ok) and rss.sum() <= n * math.ulp(1.0) * yy.sum():
+    if spare and rss.sum() <= data.n_total * math.ulp(1.0) * yy.sum():
         raise DegenerateDataError("no within-cluster residual variation: "
                                   "every cluster lies on its own line")
     return ok, a, b, rss
 
 
-def _general_moment_start(pieces, lines):
+def _general_moment_start(data, lines):
     """Rough moment-based starting theta of the Newton search.
 
     sigma2_e is the pooled residual variance about the lines (``_cluster_lines``)
@@ -790,10 +762,10 @@ def _general_moment_start(pieces, lines):
     b_k), less that noise, give lambda_c, lambda_s and rho.
     """
     ok, a, b, rss = lines
-    c00 = pieces.c[ok, 0, 0]
+    c00 = data.c[ok, 0, 0]
     pooled = c00 >= 3
     rss, df = float(rss[ok][pooled].sum()), float((c00[pooled] - 2.0).sum())
-    s2e0 = rss / df if df > 0 and rss > 0 else max(float(np.var(pieces.y)), 1e-8)
+    s2e0 = rss / df if df > 0 and rss > 0 else max(float(np.var(data.y)), 1e-8)
     if a.size < 3:
         return 0.5, 0.5, 0.0
     centred = np.stack([a, b])
@@ -809,18 +781,17 @@ def eblups(fit, data):
     """Empirical BLUPs of the per-cluster intercept/slope deviations.
 
     u_i = Sigma_hat H_i' V_i^{-1} (y_i - X_i beta_hat), evaluated from the
-    per-cluster pieces as u_i = S_i (H_i'y_i - G_i beta_hat) with
+    per-cluster cross-products as u_i = S_i (H_i'y_i - G_i beta_hat) with
     S_i = Sigma_rel (I + C_i Sigma_rel)^{-1}.  beta_hat is the GLS estimate
     at the fit's Sigma_rel (``fit.beta`` for a general fit), so a balanced
     fit of data viewed through ``GeneralDataset.from_balanced`` works too.
     When Sigma_hat is singular the BLUPs lie in its column space by
-    construction.  data may be the dataset's ``_GeneralPieces``.
+    construction.  data is a ``GeneralDataset``.
 
     Returns:
         Array of shape (n_clusters, 2).
     """
     vp = fit.params
     (l11, _), (l21, l22) = vp.sigma_cholesky() / math.sqrt(vp.sigma2_e)
-    pieces = data if isinstance(data, _GeneralPieces) else _GeneralPieces(data)
-    return pieces.eblups((l11, l21, l22))
+    return data.eblups((l11, l21, l22))
 

@@ -7,7 +7,6 @@ datasets are the data that ``phi_sweep`` refits, built on their own.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -92,4 +91,5 @@ def inflated_datasets(data, phis):
     u = np.repeat(eblups(base, gen), gen.sizes, axis=0)
     fitted = gen.X @ base.beta + u[:, 0] + u[:, 1] * gen.x
     residual = gen.y - fitted
-    return ((phi, replace(gen, y=fitted + phi * residual)) for phi in phis)
+    return ((phi, GeneralDataset(gen.x, gen.X, fitted + phi * residual, gen.sizes))
+            for phi in phis)

@@ -122,11 +122,13 @@ class TestExitCodes:
          "usage error: --variance-mode does not apply to predictor-sweep"),
         ([*_SWEEP, "--config", "{tmp}/run.cfg"], {"run.cfg": "variance-mode=fix_random_effects\n"},
          1, "usage error: --variance-mode does not apply to predictor-sweep"),
+        ([*_SWEEP, "--parallelism", "2"], {}, 1,
+         "usage error: --parallelism does not apply to predictor-sweep"),
     ], ids=["predictor-N", "predictor-r", "simulate-s", "parallelism", "reps", "anova-factors",
             "anova-response", "fixed-spec-not-json", "fixed-spec-column-missing",
             "config-unreadable", "config-no-equals", "config-reps", "config-variance-mode",
             "scale-outside-factorial", "config-scale-outside-factorial",
-            "sweep-variance-mode", "config-sweep-variance-mode"])
+            "sweep-variance-mode", "config-sweep-variance-mode", "sweep-parallelism"])
     def test_error_exits_before_any_output(self, capsys, tmp_path, argv, files, code, fragment):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

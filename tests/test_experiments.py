@@ -1,6 +1,7 @@
 """Tests for the experiment catalog, runner, and analysis helpers."""
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -248,6 +249,7 @@ class TestRunSettings:
             assert sum(any(st.id == "u2" for st, _ in block) for block in blocks) > 1
 
     def test_pool_opens_one_worker_per_block_at_most(self, monkeypatch):
+        # a thread pool records the worker count, so no process starts
         opened = []
 
         class Recording(ThreadPoolExecutor):
@@ -256,6 +258,7 @@ class TestRunSettings:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         _, recs = run_settings(self.FEW, 77, parallelism=8)  # four blocks of one
         assert opened == [4] and len(recs) == 4
         run_settings(self.FEW[:1], 77, parallelism=8)  # one block: no pool
@@ -263,6 +266,14 @@ class TestRunSettings:
         assert opened == [4]
         run_settings(self.UNEQUAL, 77, parallelism=2)
         assert opened == [4, 2]
+        # more workers asked for than there are CPUs: the pool stops at the
+        # CPU count, and the blocks are still cut for the requested 8 workers
+        cuts, blocks = [], experiments._blocks
+        monkeypatch.setattr(experiments, "_blocks",
+                            lambda settings, n: cuts.append(n) or blocks(settings, n))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capped = run_settings(self.FEW, 77, parallelism=8)
+        assert opened == [4, 2, 2] and cuts == [32] and capped[1] == recs
 
     def test_records_sorted_and_complete(self):
         settings = self._small_settings()

@@ -69,6 +69,33 @@ def test_every_public_name_is_used_outside_the_tests():
     assert sorted(defined - used) == []
 
 
+def _private_imports(tree):
+    """The underscored names a module takes from other package modules: by
+    ``from .module import _name``, or as ``module._name`` after
+    ``from . import module``."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscored name is its own module's; one that another module needs
+    # is part of the package's interface and gets a public name
+    found = {os.path.basename(path): _private_imports(_parse(path))
+             for path in glob.glob(os.path.join(ROOT, "src/remlab/*.py"))}
+    assert len(found) > 5
+    assert {name: names for name, names in found.items() if names} == {}
+
+
 def test_package_names_resolve():
     assert [name for name in remlab.__all__ if not hasattr(remlab, name)] == []
     assert len(set(remlab.__all__)) == len(remlab.__all__)

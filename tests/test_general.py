@@ -13,8 +13,7 @@ from remlab import (Classification, DataError, DegenerateDataError, DesignSpec, 
 from remlab import reml_core
 from remlab.invivo import default_phi_grid, make_surrogate
 from remlab.model_system import parse_dataset_rows
-from remlab.reml_core import (_chol, _cluster_lines, _general_moment_start, _GeneralPieces,
-                              _newton, _theta)
+from remlab.reml_core import _chol, _cluster_lines, _general_moment_start, _newton, _theta
 
 from reference import inflated_datasets, log_rl_dense_oracle, sigma_matrix
 
@@ -112,27 +111,25 @@ class TestObjective:
         if p == 3:
             data = with_extra_column(data, 5)
         assert data.sizes.min() == 1
-        pieces = _GeneralPieces(data)
         rng = np.random.default_rng(3)
         thetas = THETAS + [(rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0),
                             rng.uniform(-0.95, 0.95)) for _ in range(4)]
         for theta in thetas:
-            grad = theta_gradient(pieces, theta)
-            fd = np.array([slope(lambda t: value(pieces, t), theta, j, 1e-4)
+            grad = theta_gradient(data, theta)
+            fd = np.array([slope(lambda t: value(data, t), theta, j, 1e-4)
                            for j in range(3)])
             np.testing.assert_allclose(grad, fd, rtol=1e-6,
                                        atol=1e-6 * np.abs(fd).max())
 
     def test_value_matches_dense_oracle(self):
         data = with_extra_column(unbalanced_dataset(seed=17, n_clusters=12), 5)
-        pieces = _GeneralPieces(data)
         for theta in THETAS:
-            s2e = pieces._gls(pieces._s(_chol(theta))[1])[2] / pieces.dof
+            s2e = data._gls(data._s(_chol(theta))[1])[2] / data.dof
             lc, ls, rho = theta
             vp = VarianceParams(s2e, lc * lc * s2e, ls * ls * s2e, rho)
             np.testing.assert_allclose(
-                -value(pieces, theta) + 0.5 * pieces.logdet_xtx,
-                log_rl_dense_oracle(data, vp) + 0.5 * pieces.logdet_xtx,
+                -value(data, theta) + 0.5 * data.logdet_xtx,
+                log_rl_dense_oracle(data, vp) + 0.5 * data.logdet_xtx,
                 rtol=1e-11)
 
     @pytest.mark.parametrize("seed", [5, 11, 31, 38, 39])
@@ -142,11 +139,10 @@ class TestObjective:
         # close to the rho = -1 facet
         data = unbalanced_dataset(seed=seed)
         fit = fit_general(data)
-        pieces = _GeneralPieces(data)
         theta = theta_of(fit.params)
 
         def fn(t):
-            return value(pieces, t)
+            return value(data, t)
 
         violation = 0.0
         if min(theta[:2]) > 0.0 and abs(theta[2]) == 1.0:
@@ -186,12 +182,11 @@ class TestBatchedGradient:
             data = with_extra_column(data, 5)
         elif which == "surrogate":
             data = make_surrogate().to_general()
-        pieces = _GeneralPieces(data)
         l = cholesky_points(2000)
-        stacked = pieces.sigma_gradient(l)
+        stacked = data.sigma_gradient(l)
         assert stacked.shape == (2000, 2, 2)
         for point, m in zip(l, stacked):
-            single = pieces.sigma_gradient(point)
+            single = data.sigma_gradient(point)
             assert single.shape == (2, 2)
             assert np.abs(m - single).max() <= 1e-12 * np.abs(single).max()
 
@@ -201,7 +196,7 @@ class TestBatchedGradient:
         # evaluated, every point of a stack counted
         sweep = [data for _, data in inflated_datasets(make_surrogate(), [1.0, 2.0, 3.0])]
         points = []
-        value, gradient = _GeneralPieces._value, _GeneralPieces.sigma_gradient
+        value, gradient = GeneralDataset._value, GeneralDataset.sigma_gradient
 
         def counted_value(self, l):
             points.append(1)
@@ -211,8 +206,8 @@ class TestBatchedGradient:
             points.append(np.size(l) // 3)
             return gradient(self, l)
 
-        monkeypatch.setattr(_GeneralPieces, "_value", counted_value)
-        monkeypatch.setattr(_GeneralPieces, "sigma_gradient", counted_gradient)
+        monkeypatch.setattr(GeneralDataset, "_value", counted_value)
+        monkeypatch.setattr(GeneralDataset, "sigma_gradient", counted_gradient)
         fits = []
         for data in sweep:
             points.clear()
@@ -225,8 +220,7 @@ class TestBatchedGradient:
 
 
 def moment_start(data):
-    pieces = _GeneralPieces(data)
-    return _general_moment_start(pieces, _cluster_lines(pieces))
+    return _general_moment_start(data, _cluster_lines(data))
 
 
 def lstsq_moment_start(data):
@@ -303,6 +297,32 @@ class TestGeneralDataset:
             GeneralDataset(x=x, X=X, y=y, sizes=[2, 0, 3])
         with pytest.raises(ValueError, match="sum to the number of rows"):
             GeneralDataset(x=x, X=X, y=y, sizes=[2, 2])
+
+    def test_with_response_shares_the_design_only(self):
+        gen = unbalanced_dataset(seed=17)
+        y2 = gen.y + np.random.default_rng(4).normal(size=gen.n_total)
+        own = {name: getattr(gen, name) for name in ("y", "z", "W", "base")}
+        values = {name: array.copy() for name, array in own.items()}
+        gen2 = gen.with_response(y2)
+        for name in ("x", "X", "starts", "c", "lin"):
+            assert getattr(gen2, name) is getattr(gen, name)
+        for name, array in own.items():
+            assert getattr(gen, name) is array
+            assert np.array_equal(array, values[name])
+            assert getattr(gen2, name) is not array
+        got = fit_general(gen2)
+        want = fit_general(GeneralDataset(gen.x, gen.X, y2, gen.sizes))
+        assert np.array_equal(got.beta, want.beta)
+        assert replace(got, beta=None) == replace(want, beta=None)
+
+    def test_refit_of_one_dataset_repeats_the_fit(self):
+        # the point counter lives on the dataset, so a second fit of the
+        # same object must count from where the first one stopped
+        data = unbalanced_dataset(seed=17)
+        first, second = fit_general(data), fit_general(data)
+        assert np.array_equal(first.beta, second.beta)
+        assert replace(first, beta=None) == replace(second, beta=None)
+        assert data.n_points == first.n_evals + second.n_evals
 
 
 class TestEngineAgreement:
@@ -515,7 +535,7 @@ class TestWarmStart:
         fit = fit_general(data, start=start)
         warm_run = newton_runs[0][1]
         assert len(newton_runs) > 1 and failed == [_theta(warm_run[0])]
-        pieces = _GeneralPieces(data)
+        pieces = GeneralDataset(data.x, data.X, data.y, data.sizes)
         start_value = pieces._value(_chol(boxed))
         replay = _newton(pieces, _chol(boxed), start_value)
         assert replay[:2] == warm_run[:2] and np.array_equal(replay[2], warm_run[2])

@@ -12,7 +12,7 @@ from remlab import (Classification, HmoDataset, ingest_hmo, make_surrogate,
 from remlab import invivo
 from remlab.errors import DataError
 from remlab.invivo import default_phi_grid, write_sweep_csv
-from remlab.reml_core import GeneralDataset, _chol, _GeneralPieces, fit_general
+from remlab.reml_core import GeneralDataset, _chol, fit_general
 
 from reference import inflated_datasets
 
@@ -283,7 +283,7 @@ class TestPhiSweep:
         lc, ls = math.sqrt(p.sigma2_c / p.sigma2_e), math.sqrt(p.sigma2_s / p.sigma2_e)
         # the theta-gradient by the chain rule through
         # Sigma = [[lc^2, rho lc ls], [., ls^2]], at rho = +1
-        (m00, m01), (_, m11) = _GeneralPieces(data).sigma_gradient(_chol((lc, ls, p.rho)))
+        (m00, m01), (_, m11) = data.sigma_gradient(_chol((lc, ls, p.rho)))
         grad = 2.0 * np.array([m00 * lc + m01 * p.rho * ls,
                                m11 * ls + m01 * p.rho * lc, m01 * lc * ls])
         assert max(abs(grad[0]), abs(grad[1])) <= 1e-8

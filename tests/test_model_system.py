@@ -341,7 +341,7 @@ class TestArrayHolders:
         for obj, twin in (
                 (medium_dataset, replace(medium_dataset, y=medium_dataset.y.copy())),
                 (stats, replace(stats, t_outer=stats.t_outer.copy())),
-                (general, replace(general, y=general.y.copy())),
+                (general, GeneralDataset(general.x, general.X, general.y.copy(), general.sizes)),
                 (hmo, replace(hmo, premium=hmo.premium.copy()))):
             assert (obj == twin) is False and (obj == obj) is True
             assert hash(obj) == hash(obj) and isinstance(hash(twin), int)
