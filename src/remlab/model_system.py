@@ -494,15 +494,15 @@ def _parse_row_loop(path):
             raise DataError(f"{path}: missing required columns {missing}")
         floats = ["x", "y", *(c for c in reader.fieldnames if c not in _HEADER)]
         clusters: dict[int, list] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:  # line_num counts the blank lines that reader skips
             try:
                 cid = int(row["cluster"])
                 j = int(row["j"])
                 vals = [float(row[c]) for c in floats]
             except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed row ({exc})") from exc
+                raise DataError(f"{path}:{reader.line_num}: malformed row ({exc})") from exc
             if not all(map(math.isfinite, vals)):
-                raise DataError(f"{path}:{lineno}: non-finite value")
+                raise DataError(f"{path}:{reader.line_num}: non-finite value")
             clusters.setdefault(cid, []).append((j, vals))
         if not clusters:
             raise DataError(f"{path}: no data rows")

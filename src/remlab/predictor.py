@@ -15,15 +15,18 @@ q + r]].  It is evaluated at the expected sufficient statistics under
 sigma2_r = 1: E rss = N(s-2) r and E t_outer = (N-1)(D Sigma D + r I), with
 D = diag(sqrt s, sqrt q) and Sigma = [[1, rho], [rho, 1]] for the true rho.
 The +1 score is the inward slope at x = +1, which by mirror symmetry is the
--1 score at -rho.  The score is positive for all valid
-inputs, decreasing in r, increasing in N and s, and tends to zero as rho
-approaches the boundary being scored or as r grows without bound.
+-1 score at -rho.  The score is positive for all valid inputs, decreasing in
+r, increasing in N and s, and tends to zero as rho approaches the boundary
+being scored or as r grows without bound.
 
 Two algebraic variants circulate.  The default uses
 (1 + r/s)(1 + r/q) - 1 as the leading denominator, which is the form the
 reference tables reproduced by this package's tests are consistent with;
 ``as_printed=True`` keeps the variant without the trailing "- 1" for
-comparison.  All evaluators accept scalars or numpy arrays.
+comparison.  One evaluator computes the score, in log space: a sum of logs
+of factors that no valid input overflows, so log10 is finite for every valid
+input.  The direct score is 10 raised to it, inf or 0 outside float range.
+All functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -54,67 +57,48 @@ def _grid_q(s):
     return (2 * m * m + 3 * m + 1) / (3.0 * m)
 
 
-def _core(n, s, rho_eff, r, as_printed):
-    """Shared evaluation; rho_eff is already mirrored for the +1 variant."""
+def _log10_score(n_clusters, cluster_size, rho, r, as_printed, mirror):
+    """log10 of the -1 score, taken at -rho for the +1 score when ``mirror``."""
+    n, s, rho, r = _validate_arrays(n_clusters, cluster_size, rho, r)
+    rho = -rho if mirror else rho
     q = _grid_q(s)
-    # (1 + r/s)(1 + r/q) - 1 computed directly, avoiding cancellation; past
-    # r ~ 1e154 it overflows to inf, which gives the score's limit 0
-    with np.errstate(over="ignore"):
-        gm1 = r / s + r / q + (r * r) / (s * q)
     c1 = (n - 1) / (n * (s - 2.0))
     ratio = (n * s - 2.0) / (n * s - n - 1.0)
-    numer = 1.0 - c1 * rho_eff
-    denom = 1.0 + 2.0 * c1 * (1.0 + (1.0 + rho_eff) / gm1)
-    bracket = 1.0 - ratio * numer / denom
-    lead_den = gm1 + 1.0 if as_printed else gm1
-    return (n * s - n - 1.0) / lead_den * bracket
+    # (1 + rho)/((1 + r/s)(1 + r/q) - 1) with the denominator factored as
+    # r (s + q + r)/(s q); as r -> 0 it overflows to inf, the bracket's limit 1
+    with np.errstate(over="ignore"):
+        w = (1.0 + rho) * (s / r) * q / (q + s + r)
+    bracket = 1.0 - ratio * (1.0 - c1 * rho) / (1.0 + 2.0 * c1 * (1.0 + w))
+    log_lead = (np.log10(s + r) + np.log10(q + r) if as_printed  # (s + r)(q + r)/(s q)
+                else np.log10(r) + np.log10(s + q + r))
+    out = np.log10(n * s - n - 1.0) - (log_lead - np.log10(s * q)) + np.log10(bracket)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _score(log10_score):
+    with np.errstate(over="ignore"):  # past float range the score is inf or 0
+        out = np.power(10.0, log10_score)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def predictor_minus_one(n_clusters, cluster_size, rho, r, as_printed=False):
     """Boundary-risk score for rho_hat = -1.  Small values mean high risk."""
-    n, s, rho, r = _validate_arrays(n_clusters, cluster_size, rho, r)
-    out = _core(n, s, rho, r, as_printed)
-    return float(out) if np.ndim(out) == 0 else out
+    return _score(log10_predictor_minus_one(n_clusters, cluster_size, rho, r, as_printed))
 
 
 def predictor_plus_one(n_clusters, cluster_size, rho, r, as_printed=False):
     """Boundary-risk score for rho_hat = +1: the -1 score at mirrored rho."""
-    n, s, rho, r = _validate_arrays(n_clusters, cluster_size, rho, r)
-    out = _core(n, s, -rho, r, as_printed)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _log10_core(n, s, rho_eff, r, as_printed):
-    # overflow/underflow in the direct form is repaired by the fallback below
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = _core(n, s, rho_eff, r, as_printed)
-        out = np.log10(direct)
-    bad = ~np.isfinite(out)
-    if np.any(bad):
-        # extreme r: leading denominator ~ r^2/(s q); bracket at its r -> inf limit
-        n_b, s_b, rho_b, r_b = (np.broadcast_to(a, out.shape)[bad] for a in (n, s, rho_eff, r))
-        q_b = _grid_q(s_b)
-        c1 = (n_b - 1) / (n_b * (s_b - 2.0))
-        ratio = (n_b * s_b - 2.0) / (n_b * s_b - n_b - 1.0)
-        bracket = 1.0 - ratio * (1.0 - c1 * rho_b) / (1.0 + 2.0 * c1)
-        log_lead = 2.0 * np.log10(r_b) - np.log10(s_b * q_b)
-        out = np.asarray(out)
-        out[bad] = np.log10(n_b * s_b - n_b - 1.0) - log_lead + np.log10(bracket)
-    return out
+    return _score(log10_predictor_plus_one(n_clusters, cluster_size, rho, r, as_printed))
 
 
 def log10_predictor_minus_one(n_clusters, cluster_size, rho, r, as_printed=False):
-    """log10 of the -1 score, stable for r far beyond float overflow."""
-    n, s, rho, r = _validate_arrays(n_clusters, cluster_size, rho, r)
-    out = _log10_core(n, s, rho, r, as_printed)
-    return float(out) if np.ndim(out) == 0 else out
+    """log10 of the -1 score, finite for every valid input."""
+    return _log10_score(n_clusters, cluster_size, rho, r, as_printed, mirror=False)
 
 
 def log10_predictor_plus_one(n_clusters, cluster_size, rho, r, as_printed=False):
     """log10 of the +1 score."""
-    n, s, rho, r = _validate_arrays(n_clusters, cluster_size, rho, r)
-    out = _log10_core(n, s, -rho, r, as_printed)
-    return float(out) if np.ndim(out) == 0 else out
+    return _log10_score(n_clusters, cluster_size, rho, r, as_printed, mirror=True)
 
 
 # ---------------------------------------------------------------------------

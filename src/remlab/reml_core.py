@@ -281,6 +281,10 @@ def fit_balanced(data, tol=ClassifyTolerances()):
 # ---------------------------------------------------------------------------
 
 
+_SHAPES = "cluster arrays must be (n,), (n, p), (n,) and sizes (k,)"
+_FINITE = "cluster data must be finite"
+
+
 class GeneralDataset:
     """Unbalanced random intercept/slope dataset and its per-cluster cross-products.
 
@@ -315,9 +319,9 @@ class GeneralDataset:
         sizes = np.asarray(sizes, dtype=np.int64)
         if (x.ndim != 1 or y.shape != x.shape or X.ndim != 2 or X.shape[0] != x.shape[0]
                 or sizes.ndim != 1):
-            raise ValueError("cluster arrays must be (n,), (n, p), (n,) and sizes (k,)")
+            raise ValueError(_SHAPES)
         if not (np.isfinite(x).all() and np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("cluster data must be finite")
+            raise ValueError(_FINITE)
         if sizes.shape[0] < 2:
             raise ValueError("need at least two clusters")
         if sizes.min() < 1:
@@ -378,6 +382,11 @@ class GeneralDataset:
 
     def with_response(self, y):
         """A shallow copy of this dataset with response y and its own z, W and base."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != self.x.shape:
+            raise ValueError(_SHAPES)
+        if not np.isfinite(y).all():
+            raise ValueError(_FINITE)
         new, xy = copy.copy(self), np.column_stack([self.X, y])
         z0, z1 = (np.add.reduceat(a, self.starts) for a in (xy, self.x[:, None] * xy))
         new.y, new.z = y, np.stack([z0, z1], axis=1)  # z: (k, 2, p + 1)
@@ -432,13 +441,6 @@ class GeneralDataset:
         xvx_inv = np.linalg.inv(m[..., :p, :p])
         beta = (xvx_inv @ m[..., :p, p:])[..., 0]
         return xvx_inv, beta, m[..., p, p] - (m[..., :p, p] * beta).sum(axis=-1)
-
-    def eblups(self, l):
-        """u_k = S_k (H_k'y_k - G_k beta) for every cluster, shape (k, 2), at GLS beta."""
-        w = self._s(l)[1]
-        beta = self._gls(w)[1]
-        r0, r1 = (self.z @ np.append(-beta, 1.0)).T
-        return np.column_stack([w[0] * r0 + 0.5 * w[1] * r1, 0.5 * w[1] * r0 + w[2] * r1])
 
     def sigma_gradient(self, l):
         """The symmetric M with d value = tr(M dSigma) at Sigma = LL'.
@@ -793,5 +795,7 @@ def eblups(fit, data):
     """
     vp = fit.params
     (l11, _), (l21, l22) = vp.sigma_cholesky() / math.sqrt(vp.sigma2_e)
-    return data.eblups((l11, l21, l22))
+    w = data._s((l11, l21, l22))[1]
+    r0, r1 = (data.z @ np.append(-data._gls(w)[1], 1.0)).T
+    return np.column_stack([w[0] * r0 + 0.5 * w[1] * r1, 0.5 * w[1] * r0 + w[2] * r1])
 

@@ -19,7 +19,6 @@ import itertools
 import math
 import os
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from remlab import (Classification, DesignSpec, FixedEffects, GeneralDataset,
                     simulate, sufficient_stats, with_reps)
 from remlab.experiments import run_settings, write_replicate_csv, \
     write_summary_csv
-from reference import log_rl_dense_oracle, sign_test_plus_vs_minus
+from reference import _exact_inward_slope, log_rl_dense_oracle, sign_test_plus_vs_minus
 
 MASTER_SEED = 20260825
 PARALLELISM = min(8, os.cpu_count() or 1)
@@ -126,38 +125,6 @@ def _display_unit(shown):
         return 10.0 ** (int(exponent) - decimals)
     decimals = len(text.split(".")[1]) if "." in text else 0
     return 10.0 ** (-decimals)
-
-
-def _exact_inward_slope(n, s, rho, r, boundary):
-    """Inward slope of the equal-variance profile at expected statistics, exactly.
-
-    The profile is the restricted likelihood with sigma2_c = sigma2_s =
-    sigma2_r, sigma2_e = r sigma2_r and correlation x, maximised over
-    sigma2_r (see ``remlab.predictor``).  This evaluates
-    d/dx [-(N-1)/2 log det - (Ns-2)/2 log bracket] (the other term of the
-    profile does not involve x) at x = ``boundary``, with the sufficient
-    statistics at their expectations under sigma2_r = 1:
-    E rss = N(s-2) r and E t_outer = (N-1)(D Sigma D + r I), where
-    D = diag(sqrt s, sqrt q) and Sigma = [[1, rho], [rho, 1]] for the true
-    rho.  The sqrt(s q) factors cancel, so the slope is rational in the
-    inputs and ``Fraction`` arithmetic computes it without rounding.
-    Inward means d/dx at -1 and -d/dx at +1; q is summed from the
-    regressor grid.
-    """
-    n, s, rho, r, b = (Fraction(v) for v in (n, s, rho, r, boundary))
-    m = int(s - 1) // 2
-    q = sum(Fraction(k, m) ** 2 for k in range(-m, m + 1))
-    t_cc = (n - 1) * (s + r)
-    t_ss = (n - 1) * (q + r)
-    root_sq_t_cs = (n - 1) * s * q * rho  # sqrt(s q) * E t_cs
-    det = (s + r) * (q + r) - s * q * b * b
-    d_det = -2 * s * q * b
-    quad = (q + r) * t_cc - 2 * b * root_sq_t_cs + (s + r) * t_ss
-    d_quad = -2 * root_sq_t_cs
-    bracket = n * (s - 2) + quad / det  # E rss / r + quad / det
-    d_bracket = (d_quad * det - quad * d_det) / (det * det)
-    slope = -(n - 1) / 2 * d_det / det - (n * s - 2) / 2 * d_bracket / bracket
-    return -b * slope
 
 
 def _settings_for(experiment):

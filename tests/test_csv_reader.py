@@ -47,6 +47,8 @@ CASES = {
     "blank_lines": csv_text(*ROWS[:3], "", *ROWS[3:], "", ""),
     "blank_first_line": "\n" + csv_text(*ROWS),
     "whitespace_line": csv_text(*ROWS[:3], "   ", *ROWS[3:]),
+    "malformed_after_blank_line": csv_text(ROWS[0], "", "1,2,0.0,abc"),
+    "non_finite_after_blank_line_lone_cr": csv_text(ROWS[0], "", "1,2,0.0,nan", end="\r"),
     "bom": "\ufeff" + csv_text(*ROWS),
     "quoted_fields": csv_text('"1",1,-1.0,"0.5"', *ROWS[1:]),
     "quoted_header": csv_text(*ROWS, header='"cluster","j","x","y"'),
@@ -121,6 +123,8 @@ EXPECTED = {
     "blank_lines": (Y, GENERAL),
     "blank_first_line": (fails("PATH: missing required columns ['cluster', 'j', 'x', 'y']"),) * 2,
     "whitespace_line": (malformed(5, NOT_INT + "'   '"),) * 2,
+    "malformed_after_blank_line": (malformed(4, NOT_FLOAT + "'abc'"),) * 2,
+    "non_finite_after_blank_line_lone_cr": (non_finite(4),) * 2,
     "bom": (fails("PATH: missing required columns ['cluster']"),) * 2,
     "quoted_fields": (Y, GENERAL),
     "quoted_header": (Y, GENERAL),

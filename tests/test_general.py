@@ -315,6 +315,22 @@ class TestGeneralDataset:
         assert np.array_equal(got.beta, want.beta)
         assert replace(got, beta=None) == replace(want, beta=None)
 
+    def test_with_response_rejects_a_non_finite_response(self):
+        # as the constructor does, rather than failing at the first fit
+        gen = unbalanced_dataset(seed=17)
+        for bad in (math.nan, math.inf):
+            y = gen.y.copy()
+            y[3] = bad
+            with pytest.raises(ValueError, match="^cluster data must be finite$"):
+                gen.with_response(y)
+
+    def test_with_response_rejects_a_response_of_another_shape(self):
+        gen = unbalanced_dataset(seed=17)
+        for y in (gen.y[:-1], gen.y[:, None], np.append(gen.y, 0.0)):
+            with pytest.raises(ValueError, match=r"^cluster arrays must be \(n,\), \(n, p\), "
+                                                 r"\(n,\) and sizes \(k,\)$"):
+                gen.with_response(y)
+
     def test_refit_of_one_dataset_repeats_the_fit(self):
         # the point counter lives on the dataset, so a second fit of the
         # same object must count from where the first one stopped

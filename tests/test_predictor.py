@@ -1,8 +1,12 @@
 """Tests for the closed-form boundary-risk predictors and the design sweep."""
 
 import csv
+import itertools
 import math
+import sys
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from remlab import (log10_predictor_minus_one, log10_predictor_plus_one,
                     predictor_minus_one, predictor_plus_one, predictor_sweep)
 from remlab.predictor import DEFAULT_SWEEP_GRIDS, write_sweep_csv
+from reference import _exact_inward_slope
 
 
 class TestReferenceValues:
@@ -132,6 +137,39 @@ class TestProperties:
                 assert predictor_plus_one(500, 21, -0.8, 1e300, as_printed) == 0.0
                 assert log10_predictor_minus_one(500, 21, -0.8, 1e300, as_printed) \
                     == -595.7921594388062
+
+    def test_matches_the_exact_slope_over_the_whole_float_range(self):
+        # from the least subnormal r to the greatest float, with no warning;
+        # the direct score is held to the slope where that is a normal
+        # float, and must be inf above the float range and 0 below it
+        def exact_log10(x):
+            k = len(str(x.numerator)) - len(str(x.denominator))
+            return k + math.log10(x / Fraction(10) ** k)
+
+        rs = (5e-324, 1e-310, 1e-300, 1e-20, 1e-3, 1.0, 53.0, 1e5, 1e20,
+              1e154, 1e160, 1e300, 1.7e308)
+        scores = {-1: (log10_predictor_minus_one, predictor_minus_one),
+                  1: (log10_predictor_plus_one, predictor_plus_one)}
+        checked = Counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (n, s, rho), r, boundary in itertools.product(
+                    ((500, 21, 0.0), (2, 3, -0.95), (1000, 105, 0.9)), rs, (-1, 1)):
+                log10_score, score = scores[boundary]
+                exact = _exact_inward_slope(n, s, rho, r, boundary)
+                where = f"N={n} s={s} rho={rho} r={r!r} boundary={boundary}"
+                assert abs(log10_score(n, s, rho, r) - exact_log10(exact)) <= 1e-12, where
+                got = score(n, s, rho, r)
+                if exact > sys.float_info.max:
+                    assert got == math.inf, where
+                    checked["inf"] += 1
+                elif exact < Fraction(math.ulp(0.0)) / 2:
+                    assert got == 0.0, where
+                    checked["zero"] += 1
+                elif exact >= sys.float_info.min:
+                    assert abs(got - float(exact)) <= 1e-12 * float(exact), where
+                    checked["normal"] += 1
+        assert len(checked) == 3, checked
 
     def test_sample_size_counters_noise_ratio(self):
         # raising r by 10^0.4 and N by ~5 (or s by ~3) roughly restores

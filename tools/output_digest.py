@@ -11,10 +11,11 @@ subcommand and every writer of a CSV (``simulate``, two experiments, the
 factorial with its interaction files, the predictor sweep, the in-vivo sweep
 on the surrogate and on a premium file, and ``write_hmo_csv`` of three
 surrogates), ``predictor`` in both forms and at an r whose predictor
-underflows, ``fit`` on a balanced and on a general file, an experiment in
-the fix_error variance mode, an experiment and an in-vivo sweep whose flags
-come from a ``--config`` file, ``anova`` with LS-means, and the malformed
-``anova`` and ``--fixed-spec`` inputs that must exit 2 or 1.
+underflows and one whose predictor overflows, ``fit`` on a balanced and on
+a general file, an experiment in the fix_error variance mode, an experiment
+and an in-vivo sweep whose flags come from a ``--config`` file, ``anova``
+with LS-means, and the malformed ``anova`` and ``--fixed-spec`` inputs that
+must exit 2 or 1.
 
 Run it on two checkouts and ``diff`` the outputs: an empty diff means every
 command exits the same way, prints the same bytes and writes the same files.
@@ -46,6 +47,7 @@ COMMANDS = [
     PREDICTOR,
     [*PREDICTOR, "--as-printed"],
     [*PREDICTOR, "--r", "1e300"],
+    [*PREDICTOR, "--r", "1e-310"],
     ["fit", "--data", "sim.csv", "--out", "fit_balanced.json"],
     ["fit", "--data", "general.csv", "--out", "fit_general.json"],
     ["fit", "--data", "general.csv", "--out", "fit_w.json", "--fixed-spec", "spec_list.json"],
