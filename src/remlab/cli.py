@@ -286,14 +286,8 @@ def _cmd_invivo(args) -> int:
     from . import invivo as _iv
 
     tol = _tolerances(args)
-    out_dir = _out_dir(args)
-    out = _out_path(args.out) if args.out else os.path.join(out_dir, "invivo_sweep.csv")
     if (args.data is None) == (not args.surrogate):
         raise UsageError("exactly one of --data or --surrogate is required")
-    if args.data is not None:
-        data = _iv.ingest_hmo(args.data)
-    else:
-        data = _iv.make_surrogate()
     grid = {name: v for name, v in (("start", args.phi_start),
                                     ("end", args.phi_end),
                                     ("step", args.phi_step))
@@ -302,6 +296,12 @@ def _cmd_invivo(args) -> int:
         phis = _iv.default_phi_grid(**grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    out_dir = _out_dir(args)
+    out = _out_path(args.out) if args.out else os.path.join(out_dir, "invivo_sweep.csv")
+    if args.data is not None:
+        data = _iv.ingest_hmo(args.data)
+    else:
+        data = _iv.make_surrogate()
     rows = _iv.phi_sweep(data, phis, tol)
     _iv.write_sweep_csv(rows, out, data.source)
     print(f"source: {data.source}")

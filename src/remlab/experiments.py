@@ -21,7 +21,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -95,9 +95,9 @@ class SettingSummary:
     pct_nan: float
     pct_bad: float
     mc_se_bad: float
-    n_m1: int = field(default=0)
-    n_p1: int = field(default=0)
-    n_nan: int = field(default=0)
+    n_m1: int
+    n_p1: int
+    n_nan: int
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,8 @@ def ingest_hmo(path, source: str = "canonical") -> HmoDataset:
         if header != _HMO_HEADER:
             raise DataError(
                 f"expected header {','.join(_HMO_HEADER)}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:  # line_num is the file line a record ends on
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(_HMO_HEADER):

@@ -105,11 +105,11 @@ class Classification(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ClassifyTolerances:
-    """Thresholds for calling a maximiser a boundary estimate.
+    """Thresholds for labelling a maximiser a boundary estimate; they never move it.
 
     rho: |rho_hat| >= 1 - rho counts as a correlation boundary; in (0, 1),
         since at 1 or above every correlation would lie on the boundary.
-    variance_ratio: a random-effect variance below
+    variance_ratio: a random-effect variance at or below
         variance_ratio * sigma2_e counts as zero; positive and finite.
     """
 
@@ -124,21 +124,32 @@ class ClassifyTolerances:
 
 
 def classify(vp, tol=ClassifyTolerances()):
-    """Label a fitted parameter vector.
+    """Label a fitted parameter vector (the ``classification`` of ``_labels``)."""
+    return _labels(vp, tol)[0]
+
+
+def _labels(vp, tol):
+    """(classification, boundary_variance) of a fitted parameter vector.
 
     A vanished random-effect variance takes precedence over a correlation
     boundary: with either variance at zero the correlation is unidentified,
-    so any rho value there is reported as ZERO_VARIANCE.
+    so any rho value there is reported as ZERO_VARIANCE.  boundary_variance
+    names the vanished variance ("sigma2_c", "sigma2_s" or "both"), or is
+    None.  A sigma2_e <= 0, where the variance ratios are undefined, raises
+    ValueError.
     """
-    lc2 = vp.sigma2_c / vp.sigma2_e
-    ls2 = vp.sigma2_s / vp.sigma2_e
-    if min(lc2, ls2) <= tol.variance_ratio:
-        return Classification.ZERO_VARIANCE
+    if vp.sigma2_e <= 0:
+        raise ValueError("classify requires sigma2_e > 0")
+    c_zero = vp.sigma2_c / vp.sigma2_e <= tol.variance_ratio
+    s_zero = vp.sigma2_s / vp.sigma2_e <= tol.variance_ratio
+    if c_zero or s_zero:
+        return Classification.ZERO_VARIANCE, ("both" if c_zero and s_zero
+                                              else "sigma2_c" if c_zero else "sigma2_s")
     if vp.rho <= -1.0 + tol.rho:
-        return Classification.RHO_MINUS_ONE
+        return Classification.RHO_MINUS_ONE, None
     if vp.rho >= 1.0 - tol.rho:
-        return Classification.RHO_PLUS_ONE
-    return Classification.GOOD
+        return Classification.RHO_PLUS_ONE, None
+    return Classification.GOOD, None
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +203,6 @@ class FitResult:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
             fh.write("\n")
-
-
-def _boundary_variance_tag(lc2, ls2, tol):
-    c_zero = lc2 <= tol.variance_ratio
-    s_zero = ls2 <= tol.variance_ratio
-    if c_zero and s_zero:
-        return "both"
-    if c_zero:
-        return "sigma2_c"
-    if s_zero:
-        return "sigma2_s"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +265,14 @@ def fit_balanced(data, tol=ClassifyTolerances()):
         m_cc = m_ss = rho = 0.0
 
     vp = VarianceParams(sigma2_e=s2e, sigma2_c=m_cc / s, sigma2_s=m_ss / q, rho=rho)
+    label, zero = _labels(vp, tol)
     return FitResult(
         params=vp,
-        classification=classify(vp, tol),
+        classification=label,
         log_rl=log_restricted_likelihood(ss, vp),
         converged=True,
         n_evals=1,
-        boundary_variance=_boundary_variance_tag(vp.sigma2_c / s2e, vp.sigma2_s / s2e, tol),
+        boundary_variance=zero,
     )
 
 
@@ -511,8 +511,8 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
     end point is tested with the optimality certificate of ``_certified``;
     only if the test fails does the same search run on the rank-1 facet
     l22 = 0 from the end point's (l11, l21), and the better of the two
-    wins.  A lambda or rho that tol calls a boundary is then set onto it
-    (``_snap``), and tol labels the result.
+    wins.  A lambda with lambda^2 <= 1e-10 is then set to 0 (``_snap``),
+    and tol labels the result without moving it.
 
     start, a theta = (lambda_c, lambda_s, rho) such as the fit of nearby
     data, replaces the moment start of the first search.  Both starts are
@@ -547,7 +547,7 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
         facet, facet_value, _ = _newton(data, full[:2], data._value(full[:2] + (0.0,)))
         if facet_value <= full_value:
             theta = _theta(facet + (0.0,))
-    theta = _snap(theta, tol)
+    theta = _snap(theta)
     if theta != tested:
         converged = _certified(data.sigma_gradient(_chol(theta)), theta)
     l = _chol(theta)
@@ -558,13 +558,14 @@ def fit_general(data, tol=ClassifyTolerances(), start=None):
     s2e = float(rss) / data.dof
     lc, ls, rho = theta
     vp = VarianceParams(sigma2_e=s2e, sigma2_c=lc * lc * s2e, sigma2_s=ls * ls * s2e, rho=rho)
+    label, zero = _labels(vp, tol)
     return FitResult(
         params=vp,
-        classification=classify(vp, tol),
+        classification=label,
         log_rl=float(-value + 0.5 * data.logdet_xtx),
         converged=converged,
         n_evals=data.n_points - first_point,
-        boundary_variance=_boundary_variance_tag(lc * lc, ls * ls, tol),
+        boundary_variance=zero,
         beta=beta,
     )
 
@@ -624,21 +625,17 @@ def _search(data, theta):
     return end, value, _certified(m, _theta(end))
 
 
-def _snap(theta, tol):
-    """theta moved onto the boundary that its classification names.
+def _snap(theta):
+    """theta with each lambda of lambda^2 <= 1e-10 set to 0, and rho with it.
 
-    A lambda with lambda^2 <= tol.variance_ratio becomes 0, and with it rho,
-    which is unidentified on a zero-variance facet; otherwise
-    |rho| >= 1 - tol.rho becomes +/-1.
+    The search approaches a zero-variance face only linearly, so it stops
+    just off it; rho is unidentified there.  The rule is numerical and
+    fixed: the classification tolerances label a fit and never move it.
     """
     lc, ls, rho = theta
-    lc = lc if lc * lc > tol.variance_ratio else 0.0
-    ls = ls if ls * ls > tol.variance_ratio else 0.0
-    if lc == 0.0 or ls == 0.0:
-        rho = 0.0
-    elif abs(rho) >= 1.0 - tol.rho:
-        rho = math.copysign(1.0, rho)
-    return (lc, ls, rho)
+    lc = lc if lc * lc > 1e-10 else 0.0
+    ls = ls if ls * ls > 1e-10 else 0.0
+    return (lc, ls, rho if lc > 0.0 and ls > 0.0 else 0.0)
 
 
 def _capped(x):

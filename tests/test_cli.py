@@ -517,6 +517,14 @@ class TestInvivoCommand:
         assert code == 1
         assert "usage error: bad phi range" in err
 
+    @pytest.mark.parametrize("flags", [(), ("--surrogate", "--phi-end", "0.5")])
+    def test_usage_error_creates_no_out_dir(self, capsys, tmp_path, flags):
+        out_dir = tmp_path / "new"
+        code, _, err = run_cli(capsys, "invivo", *flags, "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert not out_dir.exists()
+
     def test_config_rejects_switch(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("surrogate=1\n")

@@ -24,7 +24,7 @@ NP = np.float64(2.0) / 3.0
 def summary_case(path):
     st = ExperimentSetting("A1", "A", 500, 21, rho=NEG_ZERO, r=TINY, reps=3)
     values = [NAN, NEG_ZERO, TINY, BIG, SUM, NP, BIG]
-    write_summary_csv([SettingSummary(st, *values)], path)
+    write_summary_csv([SettingSummary(st, *values, 0, 0, 0)], path)
     return [["A", "A1", 500, 21, NEG_ZERO, TINY, 3, *values]]
 
 

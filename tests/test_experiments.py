@@ -441,7 +441,7 @@ class TestInteractionPlotData:
     def _summary(n, s, rho, r, pct_bad):
         st = ExperimentSetting(f"s{n}_{s}_{rho}_{r}", "factorial", n, s,
                                rho, r, 10)
-        return SettingSummary(st, 1.0, 1.0, pct_bad, 0.0, 0.0, pct_bad, 0.0)
+        return SettingSummary(st, 1.0, 1.0, pct_bad, 0.0, 0.0, pct_bad, 0.0, 0, 0, 0)
 
     def test_averages_over_other_factors(self):
         sms = [self._summary(50, 5, -0.5, 10.0, 10.0),

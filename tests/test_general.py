@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from remlab import (Classification, DataError, DegenerateDataError, DesignSpec, FixedEffects,
-                    GeneralDataset, VarianceParams, derive_seed, eblups,
-                    experiment_catalog, fit_balanced, fit_general, simulate)
+from remlab import (Classification, ClassifyTolerances, DataError, DegenerateDataError,
+                    DesignSpec, FixedEffects, GeneralDataset, VarianceParams, classify,
+                    derive_seed, eblups, experiment_catalog, fit_balanced, fit_general,
+                    simulate)
 from remlab import reml_core
 from remlab.invivo import default_phi_grid, make_surrogate
 from remlab.model_system import parse_dataset_rows
@@ -339,6 +340,24 @@ class TestGeneralDataset:
         assert np.array_equal(first.beta, second.beta)
         assert replace(first, beta=None) == replace(second, beta=None)
         assert data.n_points == first.n_evals + second.n_evals
+
+
+class TestTolerancesOnlyLabel:
+    TOL = ClassifyTolerances(rho=0.5, variance_ratio=1e-3)
+
+    def test_general_fit_is_the_default_fit_relabelled(self):
+        # the tolerances name where a boundary label starts; the fit, its
+        # certificate and its cost are those of the default tolerances
+        relabelled = 0
+        for _, data in fit_corpus("unbalanced"):
+            base, fit = fit_general(data), fit_general(data, self.TOL)
+            label = classify(fit.params, self.TOL)
+            assert fit.classification is label
+            assert np.array_equal(fit.beta, base.beta)
+            assert (fit.params, fit.log_rl, fit.converged, fit.n_evals) == (
+                base.params, base.log_rl, base.converged, base.n_evals)
+            relabelled += label is not base.classification
+        assert relabelled > 0
 
 
 class TestEngineAgreement:

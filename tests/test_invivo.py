@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from remlab import (Classification, HmoDataset, ingest_hmo, make_surrogate,
-                    phi_sweep, write_hmo_csv)
+from remlab import (Classification, ClassifyTolerances, HmoDataset, VarianceParams, classify,
+                    ingest_hmo, make_surrogate, phi_sweep, write_hmo_csv)
 from remlab import invivo
 from remlab.errors import DataError
 from remlab.invivo import default_phi_grid, write_sweep_csv
@@ -188,6 +188,14 @@ class TestIngest:
         with pytest.raises(DataError, match="line 2"):
             ingest_hmo(path)
 
+    def test_line_number_counts_file_lines_not_records(self, tmp_path):
+        # the second record's quoted state spans lines 3-4, so the third is on line 5
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "a,1.0,10,5.0,1\n" + '"b\nc",1.0,10,5.0,1\n'
+                        + "d,x,10,5.0,1\n")
+        with pytest.raises(DataError, match="^line 5: could not convert"):
+            ingest_hmo(path)
+
     @pytest.mark.parametrize("row", ["a,nan,10,5.0,1", "a,inf,10,5.0,1",
                                      "a,1.0,10,-inf,1", "a,1.0,10,NaN,1"])
     def test_non_finite_value_with_line_number(self, tmp_path, row):
@@ -334,6 +342,18 @@ class TestPhiSweep:
         assert [f.classification for f in fits] == [
             Classification.RHO_PLUS_ONE] * 3 + [Classification.ZERO_VARIANCE]
         assert all(f.converged for f in fits)
+
+    def test_tolerances_relabel_the_sweep_and_keep_its_estimates(self, surrogate):
+        # a tolerance that moved a fit would also move the warm start of the
+        # refits after it
+        tol = ClassifyTolerances(rho=0.5, variance_ratio=1e-3)
+        base, rows = phi_sweep(surrogate), phi_sweep(surrogate, tol=tol)
+        assert len(rows) == 21
+        for b, r in zip(base, rows):
+            assert (r.sigma2_e, r.sigma2_c, r.sigma2_s) == (b.sigma2_e, b.sigma2_c, b.sigma2_s)
+            rho = 0.0 if math.isnan(b.rho_hat) else b.rho_hat
+            assert r.classification is classify(
+                VarianceParams(r.sigma2_e, r.sigma2_c, r.sigma2_s, rho), tol)
 
     @pytest.mark.parametrize("start, end, step", [
         (1.0, math.inf, 0.1), (1.0, math.nan, 0.1), (math.nan, 3.0, 0.1),

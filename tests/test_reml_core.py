@@ -108,13 +108,17 @@ class TestClassify:
         assert classify(vp, ClassifyTolerances(variance_ratio=1e-3)) \
             is Classification.ZERO_VARIANCE
 
+    def test_zero_error_variance_raises(self):
+        # VarianceParams accepts sigma2_e = 0, where the ratios are undefined
+        with pytest.raises(ValueError, match="^classify requires sigma2_e > 0$"):
+            classify(VarianceParams(0.0, 1.0, 1.0, 0.0))
+
     @pytest.mark.parametrize("field, value", [
         ("rho", 1.0), ("rho", 1.5), ("rho", math.inf), ("rho", 0.0), ("rho", -0.1),
         ("rho", math.nan), ("variance_ratio", math.inf), ("variance_ratio", 0.0),
         ("variance_ratio", -1.0), ("variance_ratio", math.nan)])
     def test_out_of_range_tolerance_raises(self, field, value):
-        # a rho tolerance of 1 or more calls every correlation a boundary, and
-        # _snap would move an interior fit onto rho = +/-1
+        # a rho tolerance of 1 or more would label every correlation a boundary
         with pytest.raises(ValueError, match=f"^{field} must be > 0"):
             ClassifyTolerances(**{field: value})
 

@@ -12,7 +12,7 @@ factorial with its interaction files, the predictor sweep, the in-vivo sweep
 on the surrogate and on a premium file, and ``write_hmo_csv`` of three
 surrogates), ``predictor`` in both forms and at an r whose predictor
 underflows and one whose predictor overflows, ``fit`` on a balanced and on
-a general file, an experiment in the fix_error variance mode, an experiment
+a general file, also under tolerances that relabel the fit, an experiment in the fix_error variance mode, an experiment
 and an in-vivo sweep whose flags come from a ``--config`` file, ``anova``
 with LS-means, and the malformed ``anova`` and ``--fixed-spec`` inputs that
 must exit 2 or 1.
@@ -52,6 +52,9 @@ COMMANDS = [
     ["fit", "--data", "general.csv", "--out", "fit_general.json"],
     ["fit", "--data", "general.csv", "--out", "fit_w.json", "--fixed-spec", "spec_list.json"],
     ["fit", "--data", "general.csv", "--out", "fit_str.json", "--fixed-spec", "spec_str.json"],
+    ["fit", "--data", "general.csv", "--out", "fit_general_rho_tol.json", "--rho-tol", "0.9"],
+    ["fit", "--data", "general.csv", "--out", "fit_general_var_tol.json", "--var-ratio-tol", "10"],
+    ["fit", "--data", "sim.csv", "--out", "fit_balanced_var_tol.json", "--var-ratio-tol", "10"],
     ["experiment", "A", "--reps", "4", "--out-dir", "exp_a"],
     ["experiment", "C", "--reps", "30", "--parallelism", "2", "--out-dir", "exp_c"],
     ["experiment", "factorial", "--scale", "0.3", "--reps", "2", "--out-dir", "factorial"],
