@@ -44,20 +44,19 @@ class _Parser(argparse.ArgumentParser):
 # Shared flags and the config file
 # ---------------------------------------------------------------------------
 
-def _config_flags(args) -> list[str]:
+def _config_flags(path) -> list[str]:
     """The ``--key=value`` tokens of a KEY=VALUE config file.
 
-    A key is the spelling of a flag that takes a value, without its leading
+    A key is spelled as the flag on the command line, without its leading
     dashes.  ``main`` parses the tokens ahead of the command line's own
-    arguments, so argparse checks each value as it checks the flag, and a
-    flag on the command line wins.
+    arguments, so argparse checks each key and value as it checks the flag,
+    and a flag on the command line wins.
     """
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from exc
-    flags = args.config_parser._option_string_actions
     tokens = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -66,28 +65,65 @@ def _config_flags(args) -> list[str]:
         if "=" not in line:
             raise DataError(f"config line {lineno}: expected KEY=VALUE")
         key, _, val = line.partition("=")
-        key = key.strip()
-        flag = "--" + key.replace("_", "-")
-        action = flags.get(flag)
-        if action is None:
-            raise DataError(f"config line {lineno}: unknown key {key!r}")
-        if action.nargs == 0:
-            raise DataError(f"config line {lineno}: {key!r} is an on/off "
-                            f"switch; pass it as a flag")
-        tokens.append(f"{flag}={val.strip()}")
+        tokens.append(f"--{key.strip()}={val.strip()}")
     return tokens
 
+
+def _checked(convert, ok, rule):
+    """An argparse type: ``convert(text)``, refused unless ``ok`` holds of it.
+
+    rule says what ok asks, e.g. "must be >= 1"; argparse puts the flag in
+    front of the message.
+    """
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
+
+
+def _tolerance(field):
+    """An argparse type for one ClassifyTolerances field; ClassifyTolerances
+    checks its range."""
+    def parse(text):
+        value = float(text)
+        try:
+            ClassifyTolerances(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = "float"
+    return parse
+
+
+def _out_path(path: str) -> str:
+    """--out's type: the path, once it names a file in a writable directory."""
+    if not path or os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {path!r}: not a file in a writable directory")
+    return path
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "must be >= 1")
+_N_CLUSTERS = _checked(int, lambda v: v >= 2, "must be >= 2")
+_CLUSTER_SIZE = _checked(int, lambda v: v >= 3 and v % 2 == 1, "must be odd and >= 3")
+_COLUMNS = _checked(lambda text: [f.strip() for f in text.split(",") if f.strip()], bool,
+                   "must name at least one column")
 
 _SHARED_FLAGS = {
     "--seed": dict(dest="master_seed", type=int, default=20260825,
                    help="master seed (default %(default)s)"),
-    "--parallelism": dict(type=int, default=1,
+    "--parallelism": dict(type=_AT_LEAST_ONE, default=1,
                           help="worker processes (default %(default)s)"),
     "--out-dir": dict(default=".", help="output directory (default %(default)s)"),
-    "--rho-tol": dict(type=float,
-                      help="boundary classification tolerance on rho"),
-    "--var-ratio-tol": dict(type=float,
-                            help="zero-variance threshold on sigma2_x/sigma2_e"),
+    "--rho-tol": dict(type=_tolerance("rho"), default=ClassifyTolerances.rho,
+                      help="boundary classification tolerance on rho "
+                           "(default %(default)s)"),
+    "--var-ratio-tol": dict(type=_tolerance("variance_ratio"),
+                            default=ClassifyTolerances.variance_ratio,
+                            help="zero-variance threshold on sigma2_x/sigma2_e "
+                                 "(default %(default)s)"),
 }
 
 
@@ -97,7 +133,6 @@ def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
     p.add_argument("--config", default=None,
                    help="KEY=VALUE config file; flags win over file values")
-    p.set_defaults(config_parser=p)
 
 
 def _out_dir(args) -> str:
@@ -109,27 +144,6 @@ def _out_dir(args) -> str:
     return args.out_dir
 
 
-def _out_path(path: str) -> str:
-    """--out's path, once it names a file in a writable directory."""
-    if not path or os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK):
-        raise UsageError(f"cannot write --out {path!r}: not a file in a writable directory")
-    return path
-
-
-def _tolerances(args) -> ClassifyTolerances:
-    tol, tolerances = {}, ClassifyTolerances()
-    for flag, name, rule, v in (("--rho-tol", "rho", "> 0 and < 1", args.rho_tol),
-                                ("--var-ratio-tol", "variance_ratio", "> 0 and finite",
-                                 args.var_ratio_tol)):
-        if v is not None:
-            tol[name] = v
-            try:
-                tolerances = ClassifyTolerances(**tol)
-            except ValueError:
-                raise UsageError(f"{flag} must be {rule}, got {v!r}") from None
-    return tolerances
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -139,14 +153,6 @@ def _cmd_predictor(args) -> int:
                             predictor_minus_one, predictor_plus_one)
 
     n, s = args.N, args.s
-    if s % 2 == 0 or s < 3:
-        raise UsageError("--s must be odd and >= 3")
-    if n < 2:
-        raise UsageError("--N must be >= 2")
-    if not (-1.0 < args.rho < 1.0):
-        raise UsageError("--rho must be strictly inside (-1, 1)")
-    if not (args.r > 0):
-        raise UsageError("--r must be positive")
     m1 = predictor_minus_one(n, s, args.rho, args.r,
                              as_printed=args.as_printed)
     p1 = predictor_plus_one(n, s, args.rho, args.r,
@@ -165,20 +171,15 @@ def _cmd_predictor(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.s % 2 == 0 or args.s < 3:
-        raise UsageError("--s must be odd and >= 3")
-    out = _out_path(args.out)
     design = DesignSpec(args.N, args.s)
     vp = VarianceParams(args.sigma2_e, args.sigma2_c, args.sigma2_s, args.rho)
     data = simulate(design, FixedEffects(args.b0, args.b1), vp, args.seed)
-    write_dataset_csv(data, out)
-    print(f"wrote {design.n_clusters * design.cluster_size} rows to {out}")
+    write_dataset_csv(data, args.out)
+    print(f"wrote {design.n_clusters * design.cluster_size} rows to {args.out}")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    tol = _tolerances(args)
-    out = _out_path(args.out)
     fixed_columns = ()
     if args.fixed_spec is not None:
         try:
@@ -190,6 +191,7 @@ def _cmd_fit(args) -> int:
                 and all(isinstance(c, str) for c in fixed_columns)):
             raise DataError("bad fixed-effects spec: columns must be a JSON list of strings")
     rows = parse_dataset_rows(args.data)
+    tol = ClassifyTolerances(args.rho_tol, args.var_ratio_tol)
     data = None
     if not fixed_columns:
         try:
@@ -200,7 +202,7 @@ def _cmd_fit(args) -> int:
         fit, engine = fit_balanced(data, tol), "balanced"
     else:
         fit, engine = fit_general(GeneralDataset.from_rows(rows, fixed_columns), tol), "general"
-    fit.write_json(out)
+    fit.write_json(args.out)
     p = fit.params
     print(f"engine         = {engine}")
     print(f"classification = {fit.classification.value}")
@@ -209,7 +211,7 @@ def _cmd_fit(args) -> int:
     print(f"sigma2_s       = {p.sigma2_s:.6g}")
     print(f"rho            = {p.rho:.6g}")
     print(f"log_rl         = {fit.log_rl:.6g}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -221,44 +223,34 @@ def _cmd_experiment(args) -> int:
     from . import experiments as _ex
     from .predictor import predictor_sweep, write_sweep_csv
 
-    seed, parallelism = args.master_seed, args.parallelism
-    if parallelism < 1:
-        raise UsageError("--parallelism must be >= 1")
-    reps = args.reps
-    if reps is not None and reps < 1:
-        raise UsageError("--reps must be >= 1")
-    name = args.name
+    seed, reps, name = args.master_seed, args.reps, args.name
     if args.scale is not None and name != "factorial":
         raise UsageError("--scale applies only to the factorial experiment")
     if args.variance_mode is not None and name == "predictor-sweep":
         raise UsageError("--variance-mode does not apply to predictor-sweep")
-    if parallelism != 1 and name == "predictor-sweep":
+    if args.parallelism != 1 and name == "predictor-sweep":
         raise UsageError("--parallelism does not apply to predictor-sweep")
-    out_dir = _out_dir(args)
 
     if name == "predictor-sweep":
-        n_draws = reps if reps is not None else 1000
-        table = predictor_sweep(seed, n_draws=n_draws)
-        out = os.path.join(out_dir, "predictor_sweep.csv")
+        out = os.path.join(_out_dir(args), "predictor_sweep.csv")
+        table = predictor_sweep(seed, n_draws=reps if reps is not None else 1000)
         write_sweep_csv(table, out)
         print(f"wrote {len(table['draw'])} draws to {out}")
         return 0
 
     mode = VarianceMode(args.variance_mode or VarianceMode.FIX_RANDOM_EFFECTS)
     if name == "factorial":
-        settings = _ex.factorial_grid(scale=args.scale,
-                                      reps=reps if reps else 40,
-                                      variance_mode=mode)
+        settings = _ex.factorial_grid(scale=args.scale, variance_mode=mode)
     else:
         settings = [dataclasses.replace(st, variance_mode=mode)
                     for st in _ex.experiment_catalog() if st.experiment == name]
-        if reps is not None:
-            settings = _ex.with_reps(settings, reps)
+    if reps is not None:
+        settings = _ex.with_reps(settings, reps)
+    out_dir = _out_dir(args)
 
-    summaries, records = _ex.run_settings(settings, seed, parallelism)
-    tag = name
-    sum_path = os.path.join(out_dir, f"experiment_{tag}_summary.csv")
-    rep_path = os.path.join(out_dir, f"experiment_{tag}_replicates.csv")
+    summaries, records = _ex.run_settings(settings, seed, args.parallelism)
+    sum_path = os.path.join(out_dir, f"experiment_{name}_summary.csv")
+    rep_path = os.path.join(out_dir, f"experiment_{name}_replicates.csv")
     _ex.write_summary_csv(summaries, sum_path)
     _ex.write_replicate_csv(records, rep_path)
 
@@ -285,7 +277,6 @@ def _cmd_experiment(args) -> int:
 def _cmd_invivo(args) -> int:
     from . import invivo as _iv
 
-    tol = _tolerances(args)
     if (args.data is None) == (not args.surrogate):
         raise UsageError("exactly one of --data or --surrogate is required")
     grid = {name: v for name, v in (("start", args.phi_start),
@@ -296,13 +287,9 @@ def _cmd_invivo(args) -> int:
         phis = _iv.default_phi_grid(**grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    out_dir = _out_dir(args)
-    out = _out_path(args.out) if args.out else os.path.join(out_dir, "invivo_sweep.csv")
-    if args.data is not None:
-        data = _iv.ingest_hmo(args.data)
-    else:
-        data = _iv.make_surrogate()
-    rows = _iv.phi_sweep(data, phis, tol)
+    data = _iv.ingest_hmo(args.data) if args.data is not None else _iv.make_surrogate()
+    rows = _iv.phi_sweep(data, phis, ClassifyTolerances(args.rho_tol, args.var_ratio_tol))
+    out = args.out or os.path.join(_out_dir(args), "invivo_sweep.csv")
     _iv.write_sweep_csv(rows, out, data.source)
     print(f"source: {data.source}")
     print(f"{'phi':>5s} {'rho_hat':>8s} {'s2_e':>9s} {'s2_e/phi2':>9s} "
@@ -318,9 +305,7 @@ def _cmd_invivo(args) -> int:
 def _cmd_anova(args) -> int:
     from . import experiments as _ex
 
-    factors = [f.strip() for f in args.factors.split(",") if f.strip()]
-    if not factors:
-        raise UsageError("--factors must name at least one column")
+    factors = args.factors
     if args.ls_means is not None and args.ls_means not in factors:
         raise UsageError("--ls-means must name one of the factors")
     try:
@@ -369,18 +354,21 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predictor", parents=[], help="closed-form predictors")
-    p.add_argument("--N", type=int, required=True, help="number of clusters")
-    p.add_argument("--s", type=int, required=True, help="cluster size (odd)")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--r", type=float, required=True,
-                   help="error/random-effect variance ratio")
+    p.add_argument("--N", type=_N_CLUSTERS, required=True, help="number of clusters")
+    p.add_argument("--s", type=_CLUSTER_SIZE, required=True, help="cluster size (odd)")
+    p.add_argument("--rho", type=_checked(float, lambda v: -1 < v < 1,
+                                          "must lie strictly inside (-1, 1)"),
+                   required=True)
+    p.add_argument("--r", type=_checked(float, lambda v: 0 < v < math.inf,
+                                        "must be positive and finite"),
+                   required=True, help="error/random-effect variance ratio")
     p.add_argument("--as-printed", action="store_true",
                    help="evaluate the uncorrected closed form")
     p.set_defaults(func=_cmd_predictor)
 
     p = sub.add_parser("simulate", help="write a balanced dataset CSV")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--N", type=_N_CLUSTERS, required=True)
+    p.add_argument("--s", type=_CLUSTER_SIZE, required=True)
     p.add_argument("--b0", type=float, default=0.0)
     p.add_argument("--b1", type=float, default=0.0)
     p.add_argument("--sigma2-e", type=float, required=True)
@@ -388,12 +376,12 @@ def build_parser() -> _Parser:
     p.add_argument("--sigma2-s", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="REML fit of a dataset CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="FitResult JSON path")
+    p.add_argument("--out", type=_out_path, required=True, help="FitResult JSON path")
     p.add_argument("--fixed-spec", default=None,
                    help='JSON {"columns": [...]} of extra fixed-effect '
                         'columns; naming any selects the general engine')
@@ -402,7 +390,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="run a cataloged experiment")
     p.add_argument("name", choices=_EXPERIMENT_NAMES)
-    p.add_argument("--reps", type=int, default=None, metavar="REPS",
+    p.add_argument("--reps", type=_AT_LEAST_ONE, default=None, metavar="REPS",
                    help="override replicates per setting (draw count for "
                         "predictor-sweep)")
     p.add_argument("--scale", type=float, default=None,
@@ -424,14 +412,14 @@ def build_parser() -> _Parser:
                    help="last inflation factor (default: the standard grid's)")
     p.add_argument("--phi-step", type=float, default=None,
                    help="inflation factor step (default: the standard grid's)")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", type=_out_path, help="sweep CSV (default: in --out-dir)")
     _add_shared(p, "--out-dir", "--rho-tol", "--var-ratio-tol")
     p.set_defaults(func=_cmd_invivo)
 
     p = sub.add_parser("anova", help="mean squares for a results table")
     p.add_argument("--table", required=True, help="input CSV")
     p.add_argument("--response", required=True)
-    p.add_argument("--factors", required=True,
+    p.add_argument("--factors", type=_COLUMNS, required=True,
                    help="comma-separated factor columns")
     p.add_argument("--ls-means", default=None,
                    help="also print LS-means for this factor")
@@ -447,7 +435,7 @@ def main(argv=None) -> int:
             # the top-level parser takes no options: argv[0] is the command
             argv = sys.argv[1:] if argv is None else list(argv)
             try:
-                args = parser.parse_args([argv[0], *_config_flags(args), *argv[1:]])
+                args = parser.parse_args([argv[0], *_config_flags(args.config), *argv[1:]])
             except UsageError as exc:
                 raise DataError(f"config file: {exc}") from None
         return args.func(args)

@@ -97,14 +97,18 @@ class HmoDataset:
         """Build the general-engine dataset: X = [1, z, expenses, NE].
 
         One cluster per state, states in order of first appearance and
-        plans in file order within each state.
+        plans in file order within each state.  DataError if the plans are
+        too few for the model.
         """
         z, e, ne = self.standardized_design()
         rows = np.argsort(self._plan_state, kind="stable")
         xmat = np.column_stack([np.ones_like(z), z, e, ne])
-        return GeneralDataset(x=z[rows], X=xmat[rows],
-                              y=self.premium[rows].astype(float),
-                              sizes=np.bincount(self._plan_state))
+        try:
+            return GeneralDataset(x=z[rows], X=xmat[rows],
+                                  y=self.premium[rows].astype(float),
+                                  sizes=np.bincount(self._plan_state))
+        except ValueError as exc:
+            raise DataError(str(exc)) from exc
 
 
 def _standardize(families, e_state, ne_state, plan_state):

@@ -195,19 +195,21 @@ class ClusteredDataset:
     def from_rows(cls, rows):
         """The balanced dataset in a parsed CSV (see ``parse_dataset_rows``).
 
-        Every cluster must have the same odd size s >= 3, j = 1..s, and x
-        values matching the shared grid to 1e-9; anything else raises
-        DataError naming the first cluster, in file order, that fails.
+        At least two clusters must have the same odd size s >= 3 (the rule
+        of ``DesignSpec``), j = 1..s, and x values matching the shared grid
+        to 1e-9; anything else raises DataError, naming the first cluster,
+        in file order, that fails j or x.
         """
         path = rows.path
         sizes = np.diff(rows.bounds)
         if sizes.min() != sizes.max():
             raise DataError(f"{path}: clusters have unequal sizes {sorted(set(sizes.tolist()))}")
-        s = int(sizes[0])
-        if s < 3 or s % 2 == 0:
-            raise DataError(f"{path}: cluster size must be odd and >= 3, got {s}")
-        h = build_h(s)
-        n = len(rows.ids)
+        n, s = len(rows.ids), int(sizes[0])
+        try:
+            design = DesignSpec(n_clusters=n, cluster_size=s)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        h = design.h
         bad_j = (rows.j.reshape(n, s) != np.arange(1, s + 1)).any(axis=1)
         bad_x = np.abs(rows.x.reshape(n, s) - h).max(axis=1) > 1e-9
         bad = np.flatnonzero(bad_j | bad_x)
@@ -217,7 +219,7 @@ class ClusteredDataset:
                 raise DataError(f"{path}: cluster {rows.ids[k]} must have j = 1..{s}")
             raise DataError(f"{path}: cluster {rows.ids[k]} regressor differs from the shared grid")
         # a copy, so the dataset does not keep the parse buffer (x, extras) alive
-        return cls(design=DesignSpec(n_clusters=n, cluster_size=s), y=rows.y.reshape(n, s).copy())
+        return cls(design=design, y=rows.y.reshape(n, s).copy())
 
 
 def philox(seed):

@@ -23,6 +23,26 @@ _ANOVA = ["anova", "--table", "{tmp}/t.csv"]
 _CONFIG = ["experiment", "A", "--out-dir", "{tmp}", "--config", "{tmp}/run.cfg"]
 _SWEEP = ["experiment", "predictor-sweep", "--reps", "5", "--out-dir", "{tmp}"]
 _TABLE = "a,b,y\n1,1,2\n1,2,3\n2,1,4\n2,2,6\n"
+# every flag whose value has a rule: (command, flag, a good value, a bad value)
+_TYPED = [
+    ("predictor", "--N", "10", "1"), ("predictor", "--s", "9", "4"),
+    ("predictor", "--rho", "0", "1"), ("predictor", "--r", "1", "0"),
+    ("simulate", "--N", "10", "1"), ("simulate", "--s", "5", "1"),
+    ("simulate", "--out", "{tmp}/d.csv", "{tmp}/no/d.csv"),
+    ("fit", "--out", "{tmp}/o.json", "{tmp}"), ("fit", "--rho-tol", "0.5", "1"),
+    ("fit", "--var-ratio-tol", "1e-3", "0"),
+    ("experiment", "--reps", "1", "0"), ("experiment", "--parallelism", "1", "0"),
+    ("invivo", "--out", "{tmp}/s.csv", "{tmp}/no/s.csv"), ("invivo", "--rho-tol", "0.5", "nan"),
+    ("invivo", "--var-ratio-tol", "1", "inf"),
+    ("anova", "--factors", "a,b", ","),
+]
+_TYPED_ARGV = {
+    "predictor": _PREDICTOR, "simulate": _SIMULATE,
+    "fit": ["fit", "--data", "{tmp}/d.csv", "--out", "{tmp}/o.json"],
+    "experiment": ["experiment", "A", "--reps", "1", "--out-dir", "{tmp}/out"],
+    "invivo": ["invivo", "--surrogate", "--out-dir", "{tmp}/out"],
+    "anova": [*_ANOVA, "--response", "y", "--factors", "a,b"],
+}
 
 
 class TestExitCodes:
@@ -52,8 +72,7 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("command, out", [
-        *((c, out) for c in ("fit", "simulate", "invivo") for out in ("{tmp}/missing/o", "{tmp}")),
-        ("fit", ""), ("simulate", "")])  # an empty invivo --out selects the default path
+        (c, out) for c in ("fit", "simulate", "invivo") for out in ("{tmp}/missing/o", "{tmp}", "")])
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, monkeypatch,
                                            command, out):
         # --out is checked before any work: a path in a missing directory,
@@ -77,7 +96,7 @@ class TestExitCodes:
         monkeypatch.setattr("remlab.invivo.phi_sweep", no_work)
         code, _, err = run_cli(capsys, command, *argv, "--out", out)
         assert code == 1
-        assert "usage error: cannot write --out" in err
+        assert f"usage error: argument --out: cannot write {out!r}" in err
 
     @pytest.mark.parametrize("make_blocker", [False, True])
     def test_unmakeable_out_dir_is_usage_error(self, capsys, tmp_path, make_blocker):
@@ -91,13 +110,16 @@ class TestExitCodes:
             assert "usage error: cannot create --out-dir" in err
 
     @pytest.mark.parametrize("argv, files, code, fragment", [
-        ([*_PREDICTOR, "--N", "1"], {}, 1, "usage error: --N must be >= 2"),
-        ([*_PREDICTOR, "--r", "0"], {}, 1, "usage error: --r must be positive"),
-        ([*_SIMULATE, "--s", "4"], {}, 1, "usage error: --s must be odd and >= 3"),
-        ([*_EXPERIMENT, "--parallelism", "0"], {}, 1, "usage error: --parallelism must be >= 1"),
-        ([*_EXPERIMENT, "--reps", "0"], {}, 1, "usage error: --reps must be >= 1"),
+        ([*_PREDICTOR, "--N", "1"], {}, 1, "usage error: argument --N: must be >= 2, got '1'"),
+        ([*_PREDICTOR, "--r", "0"], {}, 1,
+         "usage error: argument --r: must be positive and finite, got '0'"),
+        ([*_SIMULATE, "--s", "4"], {}, 1,
+         "usage error: argument --s: must be odd and >= 3, got '4'"),
+        ([*_EXPERIMENT, "--parallelism", "0"], {}, 1,
+         "usage error: argument --parallelism: must be >= 1, got '0'"),
+        ([*_EXPERIMENT, "--reps", "0"], {}, 1, "usage error: argument --reps: must be >= 1, got '0'"),
         ([*_ANOVA, "--response", "y", "--factors", ","], {"t.csv": _TABLE}, 1,
-         "usage error: --factors must name at least one column"),
+         "usage error: argument --factors: must name at least one column, got ','"),
         ([*_ANOVA, "--response", "z", "--factors", "a,b"], {"t.csv": _TABLE}, 2,
          "data error: table lacks columns: z"),
         (["fit", "--data", "{tmp}/d.csv", "--out", "{tmp}/o.json", "--fixed-spec", "{tmp}/s.json"],
@@ -112,6 +134,9 @@ class TestExitCodes:
         (_CONFIG, {"run.cfg": "reps=x\n"}, 2, "config"),
         (_CONFIG, {"run.cfg": "variance-mode=bogus\n"}, 2,
          "data error: config file: argument --variance-mode: invalid choice: 'bogus'"),
+        # a key is spelled as the flag is on the command line
+        (_CONFIG, {"run.cfg": "out_dir=x\n"}, 2,
+         "data error: config file: unrecognized arguments: --out_dir=x"),
         # a flag the chosen experiment does not read, on the command line or
         # in the config file, is rejected like --reps 0 is
         ([*_EXPERIMENT, "--scale", "0.5"], {}, 1,
@@ -127,6 +152,7 @@ class TestExitCodes:
     ], ids=["predictor-N", "predictor-r", "simulate-s", "parallelism", "reps", "anova-factors",
             "anova-response", "fixed-spec-not-json", "fixed-spec-column-missing",
             "config-unreadable", "config-no-equals", "config-reps", "config-variance-mode",
+            "config-underscore-key",
             "scale-outside-factorial", "config-scale-outside-factorial",
             "sweep-variance-mode", "config-sweep-variance-mode", "sweep-parallelism"])
     def test_error_exits_before_any_output(self, capsys, tmp_path, argv, files, code, fragment):
@@ -191,7 +217,37 @@ class TestExitCodes:
                 "invivo": ("--surrogate",)}[command]
         code, _, err = run_cli(capsys, command, *argv, "--config", str(cfg))
         assert code == 2
-        assert f"unknown key {key!r}" in err
+        assert f"data error: config file: unrecognized arguments: --{key}=5" in err
+
+    @pytest.mark.parametrize("command, flag, good, bad", _TYPED,
+                             ids=[f"{command}{flag}" for command, flag, _, _ in _TYPED])
+    def test_bad_flag_value_fails_while_parsing(self, capsys, tmp_path, command, flag, good, bad):
+        # exit 1 from the command line, 2 from a config file even when the
+        # command line gives the flag a good value; nothing is written
+        argv = [a.format(tmp=tmp_path) for a in _TYPED_ARGV[command]]
+        good, bad = good.format(tmp=tmp_path), bad.format(tmp=tmp_path)
+        runs = [(argv + [flag, bad], 1, "usage error: ")]
+        if command in ("fit", "experiment", "invivo"):
+            (tmp_path / "run.cfg").write_text(f"{flag[2:]}={bad}\n")
+            runs.append((argv + [flag, good, "--config", str(tmp_path / "run.cfg")], 2,
+                         "data error: config file: "))
+        for run, code, prefix in runs:
+            got, out, err = run_cli(capsys, *run)
+            assert (got, out) == (code, "")
+            assert err.startswith(f"{prefix}argument {flag}: ")
+            assert [p.name for p in tmp_path.iterdir() if p.name != "run.cfg"] == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["invivo", "--data", "{tmp}/nope.csv"], 2),
+        (["invivo", "--surrogate", "--phi-start", "0.5"], 1),
+        (["experiment", "factorial", "--scale", "2"], 1),
+    ], ids=["invivo-missing-data", "invivo-phi-below-1", "factorial-scale"])
+    def test_failed_run_creates_no_out_dir(self, capsys, tmp_path, argv, code):
+        out_dir = tmp_path / "new"
+        got, out, _ = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv),
+                              "--out-dir", str(out_dir))
+        assert (got, out) == (code, "")
+        assert not out_dir.exists()
 
 
 class TestPredictorCommand:
@@ -309,7 +365,7 @@ class TestSimulateAndFit:
         code, _, err = run_cli(capsys, "fit", "--data", str(tmp_path / "d.csv"),
                                "--out", str(tmp_path / "o.json"), flag, value)
         assert code == 1
-        assert f"usage error: {flag} must be > 0" in err
+        assert f"usage error: argument {flag}: " in err and "must be > 0" in err
 
     @pytest.mark.parametrize("flag, value, rule", [
         ("--rho-tol", "1", "must be > 0 and < 1, got 1.0"),
@@ -319,7 +375,7 @@ class TestSimulateAndFit:
         code, stdout, err = run_cli(capsys, "fit", "--data", str(tmp_path / "d.csv"),
                                     "--out", str(tmp_path / "o.json"), flag, value)
         assert code == 1 and stdout == ""
-        assert f"usage error: {flag} {rule}" in err
+        assert f"usage error: argument {flag}: " in err and rule in err
 
     @staticmethod
     def _data_with_z(capsys, tmp_path):
@@ -474,6 +530,18 @@ class TestExperimentCommand:
                              "--config", str(cfg))
         assert code == 2
 
+    def test_config_key_may_abbreviate_a_flag(self, capsys, tmp_path):
+        # par=1 is read as --par=1, as the command line reads --par 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("par=1\n")
+        summaries = []
+        for out_dir, argv in (("cfg", ("--config", str(cfg))), ("flag", ("--par", "1"))):
+            code, _, err = run_cli(capsys, "experiment", "A", "--reps", "1",
+                                   "--out-dir", str(tmp_path / out_dir), *argv)
+            assert (code, err) == (0, "")
+            summaries.append((tmp_path / out_dir / "experiment_A_summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
 
 class TestInvivoCommand:
     def test_surrogate_single_phi(self, capsys, tmp_path):
@@ -570,6 +638,17 @@ class TestInvivoCommand:
         code, _, _ = run_cli(capsys, "invivo", "--data",
                              str(tmp_path / "nope.csv"))
         assert code == 2
+
+    def test_too_few_plans_is_data_error(self, capsys, tmp_path):
+        # 3 plans cannot fit 4 fixed effects plus the variance parameters
+        path = tmp_path / "hmo.csv"
+        path.write_text("state,premium,families,exp_per_admission,new_england\n"
+                        "MA,100,1000,5000,1\nMA,120,2000,5000,1\nTX,90,1500,4000,-1\n")
+        code, out, err = run_cli(capsys, "invivo", "--data", str(path),
+                                 "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == "data error: need more observations than fixed effects plus two\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnovaCommand:

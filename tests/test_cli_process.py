@@ -89,8 +89,8 @@ MALFORMED = {
                    "data error: {path}:3: non-finite value\n"),
     "even_size": ("cluster,j,x,y\n1,1,-1.0,0.5\n1,2,1.0,1.5\n2,1,-1.0,3.0\n2,2,1.0,4.0\n", 2,
                   "data error: {path}: need more observations than fixed effects plus two\n"),
-    "one_cluster": ("cluster,j,x,y\n1,1,-1.0,0.5\n1,2,0.0,1.5\n1,3,1.0,2.5\n", 1,
-                    "invalid value: n_clusters must be an integer >= 2, got 1\n"),
+    "one_cluster": ("cluster,j,x,y\n1,1,-1.0,0.5\n1,2,0.0,1.5\n1,3,1.0,2.5\n", 2,
+                    "data error: {path}: need at least two clusters\n"),
 }
 
 

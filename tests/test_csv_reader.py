@@ -169,7 +169,7 @@ EXPECTED = {
     "off_grid_by_1e-6": (fails("PATH: cluster 2 regressor differs from the shared grid"),
                          [GENERAL[0], ([-1.0, 1e-06, 1.0], Y[1])]),
     "on_grid_within_1e-9": (Y, [GENERAL[0], ([-1.0, 1e-10, 1.0], Y[1])]),
-    "one_cluster": (fails("n_clusters must be an integer >= 2, got 1", "ValueError"),
+    "one_cluster": (fails("PATH: n_clusters must be an integer >= 2, got 1"),
                     fails("PATH: need at least two clusters")),
 }
 

@@ -14,8 +14,10 @@ surrogates), ``predictor`` in both forms and at an r whose predictor
 underflows and one whose predictor overflows, ``fit`` on a balanced and on
 a general file, also under tolerances that relabel the fit, an experiment in the fix_error variance mode, an experiment
 and an in-vivo sweep whose flags come from a ``--config`` file, ``anova``
-with LS-means, and the malformed ``anova`` and ``--fixed-spec`` inputs that
-must exit 2 or 1.
+with LS-means, the malformed ``anova`` and ``--fixed-spec`` inputs that
+must exit 2 or 1, and three inputs that must exit 2: a config file with
+``reps=0``, ``fit`` on a one-cluster file and ``invivo --data`` on a premium
+file of three plans.
 
 Run it on two checkouts and ``diff`` the outputs: an empty diff means every
 command exits the same way, prints the same bytes and writes the same files.
@@ -72,6 +74,9 @@ COMMANDS = [
     [*ANOVA, "--table", "short_row.csv"],
     ["anova", "--table", "factorial/experiment_factorial_summary.csv", "--response", "pct_bad",
      "--factors", "N,s,rho", "--ls-means", "pct_bad"],
+    ["experiment", "A", "--config", "reps_zero.cfg"],
+    ["fit", "--data", "one_cluster.csv", "--out", "fit_one_cluster.json"],
+    ["invivo", "--data", "hmo_three_plans.csv", "--out", "invivo_three_plans.csv"],
 ]
 
 
@@ -80,9 +85,9 @@ def sha(data: bytes) -> str:
 
 
 def write_inputs():
-    """The input files that no command writes: a general dataset, two
-    fixed-effects specs, three premium files, the anova tables and two
-    config files."""
+    """The input files that no command writes: a general dataset, a
+    one-cluster dataset, two fixed-effects specs, four premium files, the
+    anova tables and three config files."""
     with open("sim.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     # every fourth row dropped makes the clusters unequal; w is a third fixed column
@@ -100,8 +105,12 @@ def write_inputs():
               "nan_response.csv": "a,b,y\n1,1,2\n1,2,nan\n2,1,4\n2,2,6\n",
               "short_row.csv": "a,b,y\n1,1,2\n1,2\n2,1,4\n2,2,6\n"}
     configs = {"experiment.cfg": "# a config file\nreps=3\nseed=7\nout-dir=exp_a_config\n",
-               "invivo.cfg": "phi-end=1.5\nout-dir=invivo_config\n"}
-    for name, text in {**tables, **configs}.items():
+               "invivo.cfg": "phi-end=1.5\nout-dir=invivo_config\n",
+               "reps_zero.cfg": "reps=0\nout-dir=exp_a_reps_zero\n"}
+    small = {"one_cluster.csv": "cluster,j,x,y\n1,1,-1.0,0.5\n1,2,0.0,1.5\n1,3,1.0,2.5\n",
+             "hmo_three_plans.csv": "state,premium,families,exp_per_admission,new_england\n"
+                                    "MA,100,1000,5000,1\nMA,120,2000,5000,1\nTX,90,1500,4000,-1\n"}
+    for name, text in {**tables, **configs, **small}.items():
         with open(name, "w") as fh:
             fh.write(text)
 
